@@ -1,26 +1,25 @@
-//! Analytic-vs-FD gradient micro-benchmarks (DESIGN.md §15).
+//! Gradient micro-benchmarks (DESIGN.md §15).
 //!
 //! Three ways to compute the solver's LSE gradient on the same
-//! block-sparse problems as the `solver` suite's `nlp_gradient` sweep:
+//! block-sparse problems as the `solver` suite's `solver_step` sweep:
 //!
-//! * `gradient_analytic` — one `EvalEngine::grad_at` pass (chain rule
-//!   through `cost_with_grad`, zero objective probes);
-//! * `gradient_fd_delta` — the incremental engine's structured finite
-//!   differences (`lse_score_gradient`, the pre-§15 hot path);
+//! * `gradient_analytic` — one `EvalEngine::grad_at` pass at the
+//!   committed point (chain rule through `cost_with_grad`, zero
+//!   objective probes);
+//! * `gradient_analytic_scratch` — the same analytic pass from scratch
+//!   (`ScratchEval::grad_at`, the dense oracle);
 //! * `gradient_fd_scratch` — from-scratch finite differences
-//!   (`ScratchEval::lse_score_gradient`, the reference oracle).
+//!   (`ScratchEval::fd_grad_at`, the FD oracle).
 //!
 //! `ci/bench_diff.sh` gates `gradient_analytic` at ≥ 5× faster than
-//! `gradient_fd_delta` on the gradient-heavy N=128, M=16 point — the
-//! headline number for retiring FD from the hot path. The
-//! `gradient_solve` group times complete `solve_nlp` runs under each
-//! `GradPath` so the end-to-end improvement shows up in the same
-//! report.
+//! `gradient_analytic_scratch` on the gradient-heavy N=128, M=16
+//! point. The `gradient_solve` group times complete `solve_nlp` runs,
+//! gated against their committed baseline.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use wasla::core::{
-    initial_layout, solve_nlp, EvalEngine, GradPath, LayoutProblem, ScratchEval, SolverOptions,
+    initial_layout, solve_nlp, EvalEngine, LayoutProblem, ScratchEval, SolverOptions,
 };
 use wasla::model::{CostGrad, CostModel};
 use wasla::storage::IoKind;
@@ -106,8 +105,8 @@ const SWEEP_FD: f64 = 1e-4;
 
 /// One full objective gradient per iteration, three ways. Each bench
 /// attaches the `EvalStats` delta of one instrumented call, so the
-/// report shows *why* the analytic path wins: zero `grad_fd_probes`
-/// against thousands.
+/// report shows where the work goes: zero `grad_fd_probes` on the
+/// analytic passes against thousands on the FD oracle.
 fn bench_gradient_sweep(c: &mut Harness) {
     {
         let mut group = c.benchmark_group("gradient_analytic");
@@ -133,22 +132,21 @@ fn bench_gradient_sweep(c: &mut Harness) {
         group.finish();
     }
     {
-        let mut group = c.benchmark_group("gradient_fd_delta");
+        let mut group = c.benchmark_group("gradient_analytic_scratch");
         for (n, m) in SWEEP_SIZES {
             let problem = sweep_problem(n, m);
             let x = vec![1.0 / m as f64; n * m];
-            let mut engine = EvalEngine::new(&problem);
-            engine.set_point(&x);
+            let mut scratch = ScratchEval::new(&problem);
             let mut g = vec![0.0; n * m];
-            let before = engine.stats;
-            engine.lse_score_gradient(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
-            let per_call = engine.stats.since(&before);
+            let before = scratch.stats;
+            scratch.grad_at(&x, SWEEP_TEMP, &mut g);
+            let per_call = scratch.stats.since(&before);
             group.bench_function(format!("n{n}_m{m}"), |b| {
                 for (name, value) in per_call.entries() {
                     b.counter(name, value as f64);
                 }
                 b.iter(|| {
-                    engine.lse_score_gradient(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
+                    scratch.grad_at(black_box(&x), SWEEP_TEMP, &mut g);
                     black_box(g[0])
                 })
             });
@@ -163,14 +161,14 @@ fn bench_gradient_sweep(c: &mut Harness) {
             let mut scratch = ScratchEval::new(&problem);
             let mut g = vec![0.0; n * m];
             let before = scratch.stats;
-            scratch.lse_score_gradient(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
+            scratch.fd_grad_at(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
             let per_call = scratch.stats.since(&before);
             group.bench_function(format!("n{n}_m{m}"), |b| {
                 for (name, value) in per_call.entries() {
                     b.counter(name, value as f64);
                 }
                 b.iter(|| {
-                    scratch.lse_score_gradient(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
+                    scratch.fd_grad_at(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
                     black_box(g[0])
                 })
             });
@@ -179,28 +177,22 @@ fn bench_gradient_sweep(c: &mut Harness) {
     }
 }
 
-/// End-to-end: a complete default solve under each gradient path on
-/// the mid-size sweep problem. The per-gradient win above must
-/// translate into wall-clock solve time, or the optimisation is
-/// theater; `ci/bench_diff.sh` reports this ratio in its verdict.
+/// End-to-end: a complete default solve on the small and the
+/// mid-size sweep problem. `ci/bench_diff.sh` gates the mid-size solve
+/// against its committed baseline.
 fn bench_solve_paths(c: &mut Harness) {
     let mut group = c.benchmark_group("gradient_solve");
     for (n, m) in [(32usize, 4usize), (128, 16)] {
         let problem = sweep_problem(n, m);
         let init = initial_layout(&problem).expect("sweep problem has ample capacity");
-        for grad in GradPath::ALL {
-            let opts = SolverOptions {
-                grad,
-                ..SolverOptions::default()
-            };
-            let stats = solve_nlp(&problem, &init, &opts).stats;
-            group.bench_function(format!("{}_n{n}_m{m}", grad.name()), |b| {
-                for (name, value) in stats.entries() {
-                    b.counter(name, value as f64);
-                }
-                b.iter(|| black_box(solve_nlp(&problem, &init, &opts).score))
-            });
-        }
+        let opts = SolverOptions::default();
+        let stats = solve_nlp(&problem, &init, &opts).stats;
+        group.bench_function(format!("analytic_n{n}_m{m}"), |b| {
+            for (name, value) in stats.entries() {
+                b.counter(name, value as f64);
+            }
+            b.iter(|| black_box(solve_nlp(&problem, &init, &opts).score))
+        });
     }
     group.finish();
 }

@@ -101,8 +101,8 @@ impl CostModel for SweepModel {
 }
 
 /// Block-sparse overlap structure: objects contend only within groups
-/// of 8, the regime where the incremental engine's cached-µ reuse pays
-/// off (each FD partial touches O(group) cells, not O(N)).
+/// of 8, so cross-workload contention terms are sparse the way traced
+/// catalogs are.
 fn sweep_problem(n: usize, m: usize) -> LayoutProblem {
     const GROUP: usize = 8;
     let specs = (0..n)
@@ -140,53 +140,83 @@ fn sweep_problem(n: usize, m: usize) -> LayoutProblem {
 
 const SWEEP_SIZES: [(usize, usize); 6] = [(8, 4), (8, 16), (32, 4), (32, 16), (128, 4), (128, 16)];
 const SWEEP_TEMP: f64 = 0.05;
-const SWEEP_FD: f64 = 1e-4;
 
-/// N×M scaling sweep over the full LSE gradient (the solver's hot
-/// loop): the incremental `EvalEngine` vs the from-scratch
-/// `ScratchEval` path on the same problems, with `EvalStats` work
-/// counters from one instrumented call attached to each result.
-fn bench_nlp_gradient_sweep(c: &mut Harness) {
+/// Two distinct random interior simplex points. Alternating between
+/// them makes every timed step land on a point the engine has not
+/// committed — the access pattern of a line search, not of a re-query
+/// at a cached point.
+fn step_points(n: usize, m: usize) -> [Vec<f64>; 2] {
+    let mut rng = SimRng::new(0x5eed);
+    [(); 2].map(|_| {
+        let mut x = vec![0.0; n * m];
+        for row in x.chunks_mut(m) {
+            for v in row.iter_mut() {
+                *v = rng.uniform_range(0.05, 1.0);
+            }
+            let total: f64 = row.iter().sum();
+            for v in row.iter_mut() {
+                *v /= total;
+            }
+        }
+        x
+    })
+}
+
+/// N×M scaling sweep over one production solver step — the smoothed
+/// score followed by its analytic gradient (`lse_score` then
+/// `grad_at`) at a fresh point — on the incremental `EvalEngine` and
+/// on the from-scratch `ScratchEval` oracle, with `EvalStats` work
+/// counters from one instrumented step attached to each result.
+fn bench_solver_step_sweep(c: &mut Harness) {
     {
-        let mut group = c.benchmark_group("nlp_gradient_engine");
+        let mut group = c.benchmark_group("solver_step_engine");
         for (n, m) in SWEEP_SIZES {
             let problem = sweep_problem(n, m);
-            let x = vec![1.0 / m as f64; n * m];
+            let points = step_points(n, m);
             let mut engine = EvalEngine::new(&problem);
-            engine.set_point(&x);
             let mut g = vec![0.0; n * m];
             let before = engine.stats;
-            engine.lse_gradient(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
-            let per_call = engine.stats.since(&before);
+            engine.lse_score(&points[0], SWEEP_TEMP);
+            engine.grad_at(&points[0], SWEEP_TEMP, &mut g);
+            let per_step = engine.stats.since(&before);
+            let mut k = 0usize;
             group.bench_function(format!("n{n}_m{m}"), |b| {
-                for (name, value) in per_call.entries() {
+                for (name, value) in per_step.entries() {
                     b.counter(name, value as f64);
                 }
                 b.iter(|| {
-                    engine.lse_gradient(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
-                    black_box(g[0])
+                    k += 1;
+                    let x = black_box(&points[k % 2]);
+                    let f = engine.lse_score(x, SWEEP_TEMP);
+                    engine.grad_at(x, SWEEP_TEMP, &mut g);
+                    black_box(f + g[0])
                 })
             });
         }
         group.finish();
     }
     {
-        let mut group = c.benchmark_group("nlp_gradient_scratch");
+        let mut group = c.benchmark_group("solver_step_scratch");
         for (n, m) in SWEEP_SIZES {
             let problem = sweep_problem(n, m);
-            let x = vec![1.0 / m as f64; n * m];
+            let points = step_points(n, m);
             let mut scratch = ScratchEval::new(&problem);
             let mut g = vec![0.0; n * m];
             let before = scratch.stats;
-            scratch.lse_gradient(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
-            let per_call = scratch.stats.since(&before);
+            scratch.lse_score(&points[0], SWEEP_TEMP);
+            scratch.grad_at(&points[0], SWEEP_TEMP, &mut g);
+            let per_step = scratch.stats.since(&before);
+            let mut k = 0usize;
             group.bench_function(format!("n{n}_m{m}"), |b| {
-                for (name, value) in per_call.entries() {
+                for (name, value) in per_step.entries() {
                     b.counter(name, value as f64);
                 }
                 b.iter(|| {
-                    scratch.lse_gradient(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
-                    black_box(g[0])
+                    k += 1;
+                    let x = black_box(&points[k % 2]);
+                    let f = scratch.lse_score(x, SWEEP_TEMP);
+                    scratch.grad_at(x, SWEEP_TEMP, &mut g);
+                    black_box(f + g[0])
                 })
             });
         }
@@ -200,5 +230,5 @@ wasla_bench::bench_main!(
     bench_lse,
     bench_projected_gradient,
     bench_anneal,
-    bench_nlp_gradient_sweep
+    bench_solver_step_sweep
 );

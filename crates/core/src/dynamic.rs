@@ -25,7 +25,7 @@
 
 use crate::advisor::{recommend, AdvisorError, AdvisorOptions};
 use crate::estimator::UtilizationEstimator;
-use crate::eval::EvalEngine;
+use crate::eval::{max_of, EvalEngine};
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
 use wasla_simlib::{impl_json_struct, par};
 
@@ -145,7 +145,7 @@ pub fn detect_drift(
 ) -> DriftReport {
     let mut engine = EvalEngine::new(problem);
     engine.set_layout(deployed);
-    let current = engine.committed_max_utilization();
+    let current = max_of(engine.committed_utilizations());
     let still_fits = deployed.is_valid(&problem.workloads.sizes, &problem.capacities);
     let score = (current - baseline_max) / baseline_max.max(1e-12);
     DriftReport {
@@ -326,7 +326,7 @@ fn plan_with(
     let m = deployed.n_targets();
     let mut engine = EvalEngine::new(problem);
     engine.set_layout(deployed);
-    let current_max = engine.committed_max_utilization();
+    let current_max = max_of(engine.committed_utilizations());
 
     let mut candidates: Vec<Candidate> = Vec::new();
     for i in 0..deployed.n_objects().min(desired.n_objects()) {
@@ -336,7 +336,7 @@ fn plan_with(
         }
         let bytes = object_migration_bytes(deployed, desired, i, sizes[i]);
         let forced = (0..m).any(|j| deployed.get(i, j) > 1e-12 && problem.capacities[j] == 0);
-        let gain = current_max - engine.probe_row_max(i, desired.row(i));
+        let gain = current_max - engine.probe_row_score(i, desired.row(i));
         let ratio = if bytes == 0 {
             f64::INFINITY
         } else {
@@ -372,7 +372,7 @@ fn plan_with(
                  layout: &mut Layout,
                  moves: &mut Vec<MigrationMove>| {
         let row = desired.row(c.object);
-        let win = engine.committed_max_utilization() - engine.probe_row_max(c.object, row);
+        let win = max_of(engine.committed_utilizations()) - engine.probe_row_score(c.object, row);
         engine.commit_row(c.object, row);
         *layout.row_mut(c.object) = row.to_vec();
         moves.push(MigrationMove {
@@ -392,8 +392,8 @@ fn plan_with(
             continue;
         }
         let remaining = available.saturating_sub(admitted_bytes);
-        let win = engine.committed_max_utilization()
-            - engine.probe_row_max(c.object, desired.row(c.object));
+        let win = max_of(engine.committed_utilizations())
+            - engine.probe_row_score(c.object, desired.row(c.object));
         let worth = win >= budget.alpha * c.bytes as f64;
         if voluntary && c.bytes <= remaining && worth {
             admitted_bytes = admitted_bytes.saturating_add(c.bytes);
@@ -411,7 +411,7 @@ fn plan_with(
         let block_bytes = deferred.iter().fold(0u64, |t, c| t.saturating_add(c.bytes));
         let remaining = available.saturating_sub(admitted_bytes);
         let block_win =
-            engine.committed_max_utilization() - engine.max_utilization_at(&desired.to_flat());
+            max_of(engine.committed_utilizations()) - engine.score_at(&desired.to_flat());
         if block_bytes <= remaining && block_win >= budget.alpha * block_bytes as f64 {
             for c in std::mem::take(&mut deferred) {
                 admitted_bytes = admitted_bytes.saturating_add(c.bytes);
@@ -443,7 +443,7 @@ fn plan_with(
         moves,
         layout,
         current_max_utilization: current_max,
-        new_max_utilization: engine.committed_max_utilization(),
+        new_max_utilization: max_of(engine.committed_utilizations()),
         admitted_bytes,
         forced_bytes,
         budget_left: available.saturating_sub(admitted_bytes),
@@ -473,8 +473,8 @@ pub fn readvise_incremental(
 
     let mut engine = EvalEngine::new(problem);
     engine.set_layout(deployed);
-    let current_max = engine.committed_max_utilization();
-    let new_max = engine.max_utilization_at(&desired.to_flat());
+    let current_max = max_of(engine.committed_utilizations());
+    let new_max = engine.score_at(&desired.to_flat());
     let improvement = (current_max - new_max) / current_max.max(1e-12);
     let voluntary = !still_fits || improvement >= options.migrate_threshold;
     Ok(plan_with(problem, deployed, desired, budget, voluntary))

@@ -17,22 +17,21 @@
 //! the trees of column `j` whose leaf `i` actually changes (bitwise)
 //! are walked root-ward, and every other `µₖⱼ` cell is served from
 //! cache — exact, because identical inputs into deterministic cost
-//! models yield identical outputs. That makes a structured-FD partial
+//! models yield identical outputs. That makes a probe
 //! O(N + d·(log N + model)) where `d` is object `i`'s overlap degree,
-//! instead of the O(N²) of two from-scratch single-target evaluations.
+//! instead of the O(N²) of a from-scratch single-target evaluation;
+//! the regularizer's and the migration planner's row probes ride on it.
 //!
 //! Memory: the trees take `N·M · 2·P` f64s (`P = N` rounded up to a
 //! power of two) — about 4 MiB at N=128, M=16 — the price of exact
 //! O(log N) leaf replacement.
-
-use std::cell::RefCell;
 
 use crate::eval::grad::{self, CrossAdjacency};
 use crate::eval::objective::ObjectiveKind;
 use crate::eval::stats::EvalStats;
 use crate::layout_model::{self, PerTargetWorkload};
 use crate::problem::{Layout, LayoutProblem, EPS};
-use wasla_solver::{lse_max, softmax_weights, DeltaOracle};
+use wasla_solver::{lse_max, softmax_weights};
 use wasla_storage::IoKind;
 
 /// When the committed point and an incoming point differ in more than
@@ -71,10 +70,8 @@ pub struct EvalEngine<'a> {
     mu_col: Vec<f64>,
     /// Committed capacity column sums `Σᵢ sᵢ·xᵢⱼ`.
     cap_used: Vec<f64>,
-    /// Softmax scratch for the structured gradient.
+    /// Softmax scratch for the analytic gradient.
     smax: Vec<f64>,
-    /// Scratch column for LSE/max over a probed utilization vector.
-    mu_probe: Vec<f64>,
     /// Scratch flat point for [`EvalEngine::set_layout`].
     xbuf: Vec<f64>,
     /// The objective this engine scores for.
@@ -137,7 +134,6 @@ impl<'a> EvalEngine<'a> {
             mu_col: vec![0.0; m],
             cap_used: vec![0.0; m],
             smax: Vec::with_capacity(m),
-            mu_probe: vec![0.0; m],
             xbuf: vec![0.0; n * m],
             objective,
             obj_w: objective.weights(problem),
@@ -327,9 +323,9 @@ impl<'a> EvalEngine<'a> {
         self.refold_column(j);
     }
 
-    /// `µⱼ` with `xᵢⱼ := v`, *without* committing — the structured-FD
-    /// probe. O(N) scan over cached cells, plus an O(log N) root-path
-    /// refold and two model calls per tree whose leaf actually changes.
+    /// `µⱼ` with `xᵢⱼ := v`, *without* committing. O(N) scan over
+    /// cached cells, plus an O(log N) root-path refold and two model
+    /// calls per tree whose leaf actually changes.
     pub fn probe_coord(&mut self, i: usize, j: usize, v: f64) -> f64 {
         self.stats.column_probes += 1;
         let (n, m, p) = (self.n, self.m, self.p);
@@ -398,20 +394,6 @@ impl<'a> EvalEngine<'a> {
         }
     }
 
-    /// `max_j µⱼ` with row `i` replaced by `row`, without committing.
-    pub fn probe_row_max(&mut self, i: usize, row: &[f64]) -> f64 {
-        let mut best = 0.0f64;
-        for j in 0..self.m {
-            let mu_j = if row[j].to_bits() == self.x[i * self.m + j].to_bits() {
-                self.mu_col[j]
-            } else {
-                self.probe_coord(i, j, row[j])
-            };
-            best = best.max(mu_j);
-        }
-        best
-    }
-
     /// Commits a whole row (bit-changed coordinates only).
     pub fn commit_row(&mut self, i: usize, row: &[f64]) {
         for j in 0..self.m {
@@ -419,26 +401,6 @@ impl<'a> EvalEngine<'a> {
                 self.commit_coord(i, j, row[j]);
             }
         }
-    }
-
-    /// Commits `x` and returns the smoothed objective
-    /// `lse_max(µ, temp)` over the cached utilization vector.
-    pub fn lse_objective(&mut self, x: &[f64], temp: f64) -> f64 {
-        self.set_point(x);
-        self.stats.objective_evals += 1;
-        lse_max(&self.mu_col, temp)
-    }
-
-    /// Commits `x` and returns the raw objective `max_j µⱼ`.
-    pub fn max_utilization_at(&mut self, x: &[f64]) -> f64 {
-        self.set_point(x);
-        self.stats.objective_evals += 1;
-        self.committed_max_utilization()
-    }
-
-    /// `max_j µⱼ` at the committed point.
-    pub fn committed_max_utilization(&self) -> f64 {
-        self.mu_col.iter().cloned().fold(0.0, f64::max)
     }
 
     /// The utilization vector at the committed point.
@@ -460,57 +422,13 @@ impl<'a> EvalEngine<'a> {
         self.cap_used[j]
     }
 
-    /// The structured finite-difference gradient of the smoothed
-    /// objective at `x`: each partial is two O(N) column probes
-    /// weighted by the softmax of the committed utilizations —
-    /// arithmetic identical to the pre-engine closure in
-    /// `optimizer::solve_with`, minus the per-call allocations.
-    pub fn lse_gradient(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
-        self.set_point(x);
-        self.stats.gradient_evals += 1;
-        softmax_weights(&self.mu_col, temp, &mut self.smax);
-        for i in 0..self.n {
-            for j in 0..self.m {
-                let orig = self.x[i * self.m + j];
-                let up_step = fd;
-                let dn_step = fd.min(orig);
-                self.stats.fd_partials += 1;
-                self.stats.grad_fd_probes += 2;
-                let up = self.probe_coord(i, j, orig + up_step);
-                let dn = self.probe_coord(i, j, orig - dn_step);
-                g[i * self.m + j] = self.smax[j] * (up - dn) / (up_step + dn_step);
-            }
-        }
-    }
-
-    /// The smoothed objective with `x` committed and one coordinate
-    /// perturbed — the [`DeltaOracle`] entry point for engines that
-    /// difference a black-box objective themselves.
-    pub fn lse_objective_probe(&mut self, i: usize, j: usize, v: f64, temp: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        self.mu_probe.copy_from_slice(&self.mu_col);
-        self.mu_probe[j] = mu_j;
-        lse_max(&self.mu_probe, temp)
-    }
-
-    /// The raw objective with one coordinate perturbed.
-    pub fn max_utilization_probe(&mut self, i: usize, j: usize, v: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        let mut best = 0.0f64;
-        for jj in 0..self.m {
-            best = best.max(if jj == j { mu_j } else { self.mu_col[jj] });
-        }
-        best
-    }
-
     // --- objective-weighted scoring -------------------------------
     //
-    // The `score*` family mirrors the raw `max_utilization*` family
-    // with every µⱼ scaled by the objective's penalty weight wⱼ. The
+    // Every score scales µⱼ by the objective's penalty weight wⱼ. The
     // weights are layout-independent, so every probe/commit law above
     // carries over; under the default MinMax objective wⱼ = 1.0 and
-    // `x * 1.0` is bitwise `x`, so these paths are bit-identical to
-    // the raw ones.
+    // `x * 1.0` is bitwise `x`, so a score is bit-identical to the
+    // unweighted max utilization.
 
     /// Fills the weighted-utilization scratch from the committed
     /// columns.
@@ -542,28 +460,6 @@ impl<'a> EvalEngine<'a> {
             .iter()
             .zip(&self.obj_w)
             .fold(0.0, |acc, (&mu, &w)| acc.max(w * mu))
-    }
-
-    /// The structured finite-difference gradient of the smoothed
-    /// score: softmax over the *weighted* utilizations, each partial
-    /// scaled by its target's weight (chain rule through `wⱼ·µⱼ`).
-    pub fn lse_score_gradient(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
-        self.set_point(x);
-        self.stats.gradient_evals += 1;
-        self.refill_wcol();
-        softmax_weights(&self.wcol, temp, &mut self.smax);
-        for i in 0..self.n {
-            for j in 0..self.m {
-                let orig = self.x[i * self.m + j];
-                let up_step = fd;
-                let dn_step = fd.min(orig);
-                self.stats.fd_partials += 1;
-                self.stats.grad_fd_probes += 2;
-                let up = self.probe_coord(i, j, orig + up_step);
-                let dn = self.probe_coord(i, j, orig - dn_step);
-                g[i * self.m + j] = self.smax[j] * self.obj_w[j] * (up - dn) / (up_step + dn_step);
-            }
-        }
     }
 
     /// The analytic gradient of the smoothed score at `x`: exact
@@ -606,28 +502,6 @@ impl<'a> EvalEngine<'a> {
         }
     }
 
-    /// The smoothed score with one coordinate perturbed — the
-    /// [`DeltaOracle`] entry point under a penalty objective.
-    pub fn lse_score_probe(&mut self, i: usize, j: usize, v: f64, temp: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        for jj in 0..self.m {
-            self.mu_probe[jj] = self.obj_w[jj] * self.mu_col[jj];
-        }
-        self.mu_probe[j] = self.obj_w[j] * mu_j;
-        lse_max(&self.mu_probe, temp)
-    }
-
-    /// The raw score with one coordinate perturbed.
-    pub fn score_probe(&mut self, i: usize, j: usize, v: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        let mut best = 0.0f64;
-        for jj in 0..self.m {
-            let mu = if jj == j { mu_j } else { self.mu_col[jj] };
-            best = best.max(self.obj_w[jj] * mu);
-        }
-        best
-    }
-
     /// `max_j wⱼ·µⱼ` with row `i` replaced by `row`, without
     /// committing (the regularizer's candidate score).
     pub fn probe_row_score(&mut self, i: usize, row: &[f64]) -> f64 {
@@ -658,49 +532,11 @@ impl<'a> EvalEngine<'a> {
     }
 }
 
-/// Which objective shape an [`EngineOracle`] answers for. The penalty
-/// weights come from the engine itself; under the default `MinMax`
-/// objective they are 1.0 and both shapes reduce to the raw
-/// utilization objectives.
-#[derive(Clone, Copy, Debug)]
-pub enum OracleObjective {
-    /// `lse_max(w·µ, temp)` — the smoothed temperature stages.
-    Lse(f64),
-    /// `max_j wⱼ·µⱼ` — the raw min-max score.
-    MinMax,
-}
-
-/// [`DeltaOracle`] adapter over a shared [`EvalEngine`]: answers
-/// "objective at `x` with `x[c] := v`" through a column probe instead
-/// of a full re-evaluation, bit-identically.
-pub struct EngineOracle<'e, 'p> {
-    engine: &'e RefCell<EvalEngine<'p>>,
-    objective: OracleObjective,
-}
-
-impl<'e, 'p> EngineOracle<'e, 'p> {
-    /// Wraps a shared engine for one objective.
-    pub fn new(engine: &'e RefCell<EvalEngine<'p>>, objective: OracleObjective) -> Self {
-        EngineOracle { engine, objective }
-    }
-}
-
-impl DeltaOracle for EngineOracle<'_, '_> {
-    fn objective_at(&self, x: &[f64], c: usize, v: f64) -> f64 {
-        let mut e = self.engine.borrow_mut();
-        e.set_point(x);
-        let (i, j) = (c / e.m(), c % e.m());
-        match self.objective {
-            OracleObjective::Lse(temp) => e.lse_score_probe(i, j, v, temp),
-            OracleObjective::MinMax => e.score_probe(i, j, v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::UtilizationEstimator;
+    use crate::eval::objective::max_of;
     use std::sync::Arc;
     use wasla_model::CostModel;
     use wasla_workload::{ObjectKind, WorkloadSet, WorkloadSpec};
@@ -773,7 +609,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(
-            engine.committed_max_utilization().to_bits(),
+            max_of(engine.committed_utilizations()).to_bits(),
             est.max_utilization(&layout).to_bits()
         );
         for i in 0..5 {
@@ -853,7 +689,7 @@ mod tests {
             assert_eq!(v.to_bits(), est.target_utilization(&lm, j).to_bits());
         }
         assert_eq!(
-            engine.probe_row_max(1, &row).to_bits(),
+            engine.probe_row_score(1, &row).to_bits(),
             est.max_utilization(&lm).to_bits()
         );
     }
@@ -869,22 +705,5 @@ mod tests {
                 .sum();
             assert_eq!(engine.capacity_used(&x, j).to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn delta_oracle_matches_full_objective() {
-        let p = problem(5, 3);
-        let engine = RefCell::new(EvalEngine::new(&p));
-        let x = flat(5, 3, 41);
-        let oracle = EngineOracle::new(&engine, OracleObjective::Lse(0.05));
-        let got = oracle.objective_at(&x, 4, 0.7);
-        let mut xm = x.clone();
-        xm[4] = 0.7;
-        let wanted = {
-            let est = UtilizationEstimator::new(&p);
-            let mus = est.utilizations(&Layout::from_flat(&xm, 5, 3));
-            lse_max(&mus, 0.05)
-        };
-        assert_eq!(got.to_bits(), wanted.to_bits());
     }
 }

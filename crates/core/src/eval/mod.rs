@@ -3,8 +3,8 @@
 //! Every objective call of the layout NLP (paper §4.1) needs the
 //! per-target utilizations `µⱼ(L)` of Eq. 1, each of which hides an
 //! O(N) contention scan per `µᵢⱼ` cell (Eq. 2) — O(N²·M) per full
-//! evaluation, and O(N³·M) per structured finite-difference gradient.
-//! This module makes re-evaluation *incremental*:
+//! evaluation. This module makes re-evaluation *incremental* and
+//! differentiation exact:
 //!
 //! * [`kernel`] pins the one canonical summation shape (a fixed-shape
 //!   pairwise reduction) that both the from-scratch and the
@@ -13,20 +13,25 @@
 //! * [`EvalEngine`] caches per-solve invariants (rate-weighted overlap
 //!   rows `Rᵢₖ = rateₖ·Oᵢ[k]`, layout-model memos, competing-rate
 //!   trees, capacity column sums) and updates them per changed
-//!   coordinate, making a single-coordinate probe `Lᵢⱼ ± h` an O(N)
-//!   walk instead of an O(N²) re-evaluation;
-//! * [`ScratchEval`] is the from-scratch reference path with hoisted
-//!   scratch buffers — the algorithm `solve_with` used before the
-//!   engine existed, kept runnable (`EvalPath::Scratch`) as the
-//!   equivalence oracle and the benchmark baseline;
+//!   coordinate, making a single-coordinate probe `Lᵢⱼ := v` an O(N)
+//!   walk instead of an O(N²) re-evaluation; it is the one evaluator
+//!   every production path (solver, regularizer, migration planner)
+//!   runs on;
+//! * [`grad`] holds the analytic chain rule (`EvalEngine::grad_at`,
+//!   DESIGN.md §15) that replaced finite differences in the solver;
+//! * [`ScratchEval`] is the from-scratch dense oracle with hoisted
+//!   scratch buffers, plus the structured finite-difference gradient.
+//!   No production path calls it: tests and benches hold the engine
+//!   and the analytic gradient against it;
 //! * [`EvalStats`] counts the work actually done (objective evals,
-//!   FD partials, cost-model lookups, reused `µᵢⱼ` cells) so tests and
-//!   benches can assert the O(N)-per-partial claim instead of trusting
-//!   wall-clock.
+//!   analytic passes, FD partials, cost-model lookups, reused `µᵢⱼ`
+//!   cells) so tests and benches can assert work claims instead of
+//!   trusting wall-clock.
 //! * [`objective`] hosts the pluggable [`LayoutObjective`] penalty
-//!   transforms (`score = max_j wⱼ·µⱼ`); both evaluation paths score
+//!   transforms (`score = max_j wⱼ·µⱼ`); both evaluators score
 //!   through them, and the default [`MinMaxUtilization`] weights are
-//!   exactly 1.0, keeping the default bit-identical to the raw path.
+//!   exactly 1.0, so the default score is bit-identical to the raw
+//!   max utilization.
 //!
 //! See DESIGN.md §10 for the delta-update math and the argument for
 //! why the summation order is pinned, and §13 for the objective-trait
@@ -39,7 +44,7 @@ pub mod objective;
 pub mod scratch;
 pub mod stats;
 
-pub use engine::{EngineOracle, EvalEngine, OracleObjective};
+pub use engine::EvalEngine;
 pub use grad::{cell_grad, CellGrad, CrossAdjacency};
 pub use kernel::{pairwise_sum, RateTransform};
 pub use objective::{

@@ -1,16 +1,16 @@
-//! The from-scratch evaluation path with hoisted scratch buffers.
+//! The from-scratch evaluation oracle with hoisted scratch buffers.
 //!
-//! [`ScratchEval`] runs the exact algorithm `optimizer::solve_with`
-//! used before the engine existed — rebuild the [`Layout`], recompute
-//! every `µⱼ` through [`UtilizationEstimator`], finite-difference each
-//! coordinate with two full single-target evaluations — but with the
-//! per-call allocations (`Layout::from_flat`, the `utilizations` Vec,
-//! the softmax scratch) hoisted into a reusable workspace. It stays in
-//! the tree (`EvalPath::Scratch`) as the equivalence oracle for the
-//! incremental engine and as the benchmark baseline: both paths fold
-//! contention through [`crate::eval::kernel`], so their results are
-//! bit-identical and the difference benchmarked is purely the
-//! incremental bookkeeping.
+//! [`ScratchEval`] runs the algorithm the solver used before the
+//! engine existed — rebuild the [`Layout`], recompute every `µⱼ`
+//! through [`UtilizationEstimator`], finite-difference each coordinate
+//! with two full single-target evaluations — but with the per-call
+//! allocations (`Layout::from_flat`, the `utilizations` Vec, the
+//! softmax scratch) hoisted into a reusable workspace. No production
+//! path calls it: it is the dense equivalence oracle that tests and
+//! benches hold the incremental engine against. Both fold contention
+//! through [`crate::eval::kernel`], so their values and analytic
+//! gradients are bit-identical and the difference benchmarked is
+//! purely the incremental bookkeeping.
 
 use crate::estimator::UtilizationEstimator;
 use crate::eval::grad::{self, CrossAdjacency};
@@ -94,47 +94,6 @@ impl<'a> ScratchEval<'a> {
         }
     }
 
-    /// The smoothed objective `lse_max(µ(x), temp)`.
-    pub fn lse_objective(&mut self, x: &[f64], temp: f64) -> f64 {
-        self.stats.objective_evals += 1;
-        self.load(x);
-        self.refresh_mus();
-        lse_max(&self.mus, temp)
-    }
-
-    /// The raw objective `max_j µⱼ(x)`.
-    pub fn max_utilization_at(&mut self, x: &[f64]) -> f64 {
-        self.stats.objective_evals += 1;
-        self.load(x);
-        self.refresh_mus();
-        self.mus.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// The structured finite-difference gradient of the smoothed
-    /// objective — each partial pays two full single-target
-    /// evaluations, exactly as the pre-engine closure did.
-    pub fn lse_gradient(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
-        self.stats.gradient_evals += 1;
-        self.load(x);
-        self.refresh_mus();
-        softmax_weights(&self.mus, temp, &mut self.smax);
-        for i in 0..self.n {
-            for j in 0..self.m {
-                let orig = self.layout.get(i, j);
-                let up_step = fd;
-                let dn_step = fd.min(orig);
-                self.stats.fd_partials += 1;
-                self.stats.grad_fd_probes += 2;
-                self.layout.set(i, j, orig + up_step);
-                let up = self.est.target_utilization(&self.layout, j);
-                self.layout.set(i, j, orig - dn_step);
-                let dn = self.est.target_utilization(&self.layout, j);
-                self.layout.set(i, j, orig);
-                g[i * self.m + j] = self.smax[j] * (up - dn) / (up_step + dn_step);
-            }
-        }
-    }
-
     /// Fills the weighted-utilization scratch from the current `µ`s.
     fn refill_wmus(&mut self) {
         for j in 0..self.m {
@@ -142,9 +101,7 @@ impl<'a> ScratchEval<'a> {
         }
     }
 
-    /// The smoothed score `lse_max(w·µ(x), temp)` — the weighted
-    /// mirror of [`ScratchEval::lse_objective`]; bit-identical to it
-    /// under the default objective (`wⱼ = 1.0`).
+    /// The smoothed score `lse_max(w·µ(x), temp)`.
     pub fn lse_score(&mut self, x: &[f64], temp: f64) -> f64 {
         self.stats.objective_evals += 1;
         self.load(x);
@@ -165,9 +122,10 @@ impl<'a> ScratchEval<'a> {
     }
 
     /// The structured finite-difference gradient of the smoothed
-    /// score: softmax over the weighted `µ`s, each partial scaled by
-    /// its target's weight.
-    pub fn lse_score_gradient(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
+    /// score — the FD oracle for [`ScratchEval::grad_at`]. Each partial
+    /// pays two full single-target evaluations, weighted by the softmax
+    /// over the weighted `µ`s and by its target's weight.
+    pub fn fd_grad_at(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
         self.stats.gradient_evals += 1;
         self.load(x);
         self.refresh_mus();
@@ -305,17 +263,17 @@ mod tests {
         let mut engine = EvalEngine::new(&p);
         let temp = 0.05;
         assert_eq!(
-            scratch.lse_objective(&x, temp).to_bits(),
-            engine.lse_objective(&x, temp).to_bits()
+            scratch.lse_score(&x, temp).to_bits(),
+            engine.lse_score(&x, temp).to_bits()
         );
         assert_eq!(
-            scratch.max_utilization_at(&x).to_bits(),
-            engine.max_utilization_at(&x).to_bits()
+            scratch.score_at(&x).to_bits(),
+            engine.score_at(&x).to_bits()
         );
         let mut ga = vec![0.0; 24];
         let mut gb = vec![0.0; 24];
-        scratch.lse_gradient(&x, temp, 1e-4, &mut ga);
-        engine.lse_gradient(&x, temp, 1e-4, &mut gb);
+        scratch.grad_at(&x, temp, &mut ga);
+        engine.grad_at(&x, temp, &mut gb);
         for (a, b) in ga.iter().zip(&gb) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -5,16 +5,17 @@ use wasla_simlib::impl_json_struct;
 /// What one solve actually computed. Counters are cumulative over the
 /// engine's lifetime; [`NlpOutcome`](crate::optimizer::NlpOutcome)
 /// carries the totals of the winning solve and benches report them
-/// per-call, which is how the "O(N) work per FD partial" claim is
-/// asserted instead of inferred from wall-clock.
+/// per-call, which is how the "O(N) work per probe" claim is asserted
+/// instead of inferred from wall-clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EvalStats {
     /// Full objective evaluations (LSE, min-max, or utilization-vector
     /// requests at a committed point).
     pub objective_evals: u64,
-    /// Structured-gradient evaluations.
+    /// Whole-gradient evaluations (analytic or FD).
     pub gradient_evals: u64,
-    /// Finite-difference partials (each is two column probes).
+    /// Finite-difference partials of the `ScratchEval` oracle (each is
+    /// two single-target evaluations).
     pub fd_partials: u64,
     /// Single-column perturbation probes.
     pub column_probes: u64,

@@ -11,20 +11,15 @@
 //! * the coupling capacity constraints go through an augmented-
 //!   Lagrangian outer loop;
 //! * the `max` is smoothed by log-sum-exp with an annealed temperature;
-//! * gradients are finite differences, evaluated efficiently: perturbing
-//!   `Lᵢⱼ` only changes target `j`'s utilization, so each partial costs
-//!   two single-target evaluations (MINOS likewise differences external
-//!   black-box functions).
+//! * gradients are exact: where MINOS differences its black-box
+//!   objectives numerically, the [`EvalEngine`] differentiates the
+//!   cost models analytically in one pass (DESIGN.md §15).
 //!
 //! A simulated-annealing alternative (`SolveMethod::Anneal`) is kept
 //! for ablation, mirroring the paper's §7 remark that a DAD-style
 //! randomized search could replace the NLP solver.
 
-use crate::estimator::UtilizationEstimator;
-use crate::eval::{
-    max_of, weighted_max, EngineOracle, EvalEngine, EvalStats, ObjectiveKind, OracleObjective,
-    ScratchEval,
-};
+use crate::eval::{max_of, EvalEngine, EvalStats, ObjectiveKind};
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
 use std::cell::RefCell;
 use std::sync::Mutex;
@@ -63,72 +58,11 @@ impl SolveMethod {
     }
 }
 
-/// Which evaluation machinery backs the objective/gradient closures.
-///
-/// Both paths share the canonical summation kernel
-/// ([`crate::eval::kernel`]) and produce **bit-identical** layouts,
-/// utilizations, and convergence flags — only the work counters
-/// differ. `Scratch` stays selectable as the equivalence oracle and
-/// the benchmark baseline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalPath {
-    /// Incremental [`EvalEngine`]: cached per-column aggregates, O(N)
-    /// finite-difference partials.
-    #[default]
-    Engine,
-    /// From-scratch [`ScratchEval`]: full re-evaluation per call (the
-    /// pre-engine algorithm, with allocations hoisted).
-    Scratch,
-}
-
-/// How the smoothed objective's gradient is computed.
-///
-/// Both paths drive the same projected-gradient iterations; they
-/// differ only in how each `∂lse/∂xᵢⱼ` is obtained. `Fd` is the
-/// original structured finite-difference scheme (two column probes
-/// per partial) and is kept selectable as the equivalence oracle for
-/// the analytic chain rule — byte-identical to the pre-analytic
-/// solver when selected.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GradPath {
-    /// Exact chain-rule differentiation through the cost-model seam
-    /// (`CostModel::cost_with_grad`): one O(N·M) pass, zero probes.
-    #[default]
-    Analytic,
-    /// Structured finite differences (the pre-analytic scheme; the
-    /// FD step comes from `SolverOptions::fd_step`).
-    Fd,
-}
-
-impl GradPath {
-    /// Every gradient path, in documentation order.
-    pub const ALL: [GradPath; 2] = [GradPath::Analytic, GradPath::Fd];
-
-    /// The path's stable name (CLI/config strings).
-    pub fn name(self) -> &'static str {
-        match self {
-            GradPath::Analytic => "analytic",
-            GradPath::Fd => "fd",
-        }
-    }
-
-    /// Parses a path name; `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<GradPath> {
-        match name {
-            "analytic" => Some(GradPath::Analytic),
-            "fd" | "finite-difference" => Some(GradPath::Fd),
-            _ => None,
-        }
-    }
-}
-
 /// Options for [`solve_nlp`].
 #[derive(Clone, Debug)]
 pub struct SolverOptions {
     /// Search engine.
     pub method: SolveMethod,
-    /// Evaluation machinery behind the objective closures.
-    pub eval: EvalPath,
     /// LSE temperatures relative to the current max utilization,
     /// annealed in order.
     pub temperatures: Vec<f64>,
@@ -136,11 +70,6 @@ pub struct SolverOptions {
     pub pg: PgOptions,
     /// Augmented-Lagrangian options (capacity constraints).
     pub auglag: AugLagOptions,
-    /// Finite-difference step for the black-box gradient (used by
-    /// `GradPath::Fd` and by delta-oracle probes).
-    pub fd_step: f64,
-    /// How the smoothed objective's gradient is computed.
-    pub grad: GradPath,
     /// Annealing options (when `method` is `Anneal`).
     pub anneal: AnnealOptions,
     /// The layout objective scored by the solve. The default
@@ -153,7 +82,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             method: SolveMethod::ProjectedGradient,
-            eval: EvalPath::Engine,
             temperatures: vec![0.25, 0.08, 0.02],
             pg: PgOptions {
                 max_iters: 60,
@@ -164,8 +92,6 @@ impl Default for SolverOptions {
                 outer_iters: 4,
                 ..AugLagOptions::default()
             },
-            fd_step: 1e-4,
-            grad: GradPath::default(),
             anneal: AnnealOptions {
                 steps: 20_000,
                 sigma: 0.2,
@@ -192,8 +118,8 @@ pub struct NlpOutcome {
     pub score: f64,
     /// Whether the final stage converged.
     pub converged: bool,
-    /// Work counters of the evaluation path that drove the solve
-    /// (objective evals, FD partials, cost-model lookups, …).
+    /// Work counters of the engine that drove the solve (objective
+    /// evals, analytic gradient passes, cost-model lookups, …).
     pub stats: EvalStats,
 }
 
@@ -222,16 +148,12 @@ pub fn make_projection(problem: &LayoutProblem) -> impl Fn(&mut [f64]) + '_ {
             let banned = &forbidden[i];
             if banned.iter().any(|&b| b) {
                 // Project the allowed coordinates only.
-                let mut allowed: Vec<f64> =
-                    (0..m).filter(|&j| !banned[j]).map(|j| row[j]).collect();
+                let allowed_at = || (0..m).filter(|&j| !banned[j]);
+                let mut allowed: Vec<f64> = allowed_at().map(|j| row[j]).collect();
                 project_simplex(&mut allowed);
-                let mut it = allowed.into_iter();
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = if banned[j] {
-                        0.0
-                    } else {
-                        it.next().expect("allowed coords")
-                    };
+                row.fill(0.0);
+                for (j, v) in allowed_at().zip(allowed) {
+                    row[j] = v;
                 }
             } else {
                 project_simplex(row);
@@ -272,24 +194,10 @@ pub fn solve_nlp(problem: &LayoutProblem, initial: &Layout, opts: &SolverOptions
 /// feasible-set projection and capacity constraints, then either runs
 /// the LSE temperature schedule (engines that follow gradients and
 /// want the `max` smoothed) or hands the engine the raw min-max
-/// objective (randomized search). `opts.eval` selects the evaluation
-/// machinery; both paths yield bit-identical layouts.
+/// objective (randomized search). One [`EvalEngine`] backs the
+/// objective, the analytic gradient and the capacity constraints (via
+/// cached column sums).
 pub fn solve_with(
-    problem: &LayoutProblem,
-    initial: &Layout,
-    opts: &SolverOptions,
-    solver: &dyn Solver,
-) -> NlpOutcome {
-    match opts.eval {
-        EvalPath::Engine => solve_with_engine(problem, initial, opts, solver),
-        EvalPath::Scratch => solve_with_scratch(problem, initial, opts, solver),
-    }
-}
-
-/// The incremental path: one shared [`EvalEngine`] backs the
-/// objective, the structured gradient, the capacity constraints (via
-/// cached column sums), and the delta oracle.
-fn solve_with_engine(
     problem: &LayoutProblem,
     initial: &Layout,
     opts: &SolverOptions,
@@ -299,7 +207,7 @@ fn solve_with_engine(
     solve_with_engine_in(problem, initial, opts, solver, &engine)
 }
 
-/// The engine-path body over a caller-supplied engine, so multistart
+/// The solve body over a caller-supplied engine, so multistart
 /// can reuse one workspace across solves. The engine's caches are
 /// pure functions of its committed point (see
 /// `incremental_commit_equals_rebuild`), so starting from whatever
@@ -323,33 +231,19 @@ fn solve_with_engine_in<'p>(
         for &rel_temp in &opts.temperatures {
             let current_max = engine.borrow_mut().score_at(&x).max(1e-9);
             let temp = rel_temp * current_max;
-            let fd = opts.fd_step;
             // hot-closure-begin: solver objective/gradient closures —
-            // all scratch lives in the engine workspace.
+            // all scratch lives in the engine workspace. The gradient
+            // is one exact chain-rule pass over the cached state.
             let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| engine.borrow_mut().lse_score(xv, temp));
-            // Analytic: one exact chain-rule pass over the cached
-            // state, zero probes. Fd: structured finite differences —
-            // perturbing Lᵢⱼ only moves target j's utilization, so
-            // each partial is two O(N) column probes weighted by the
-            // softmax (retained as the equivalence oracle).
-            let grad: ObjectiveGradFn<'_> = match opts.grad {
-                GradPath::Analytic => {
-                    Box::new(|xv: &[f64], g: &mut [f64]| engine.borrow_mut().grad_at(xv, temp, g))
-                }
-                GradPath::Fd => Box::new(|xv: &[f64], g: &mut [f64]| {
-                    engine.borrow_mut().lse_score_gradient(xv, temp, fd, g)
-                }),
-            };
+            let grad: ObjectiveGradFn<'_> =
+                Box::new(|xv: &[f64], g: &mut [f64]| engine.borrow_mut().grad_at(xv, temp, g));
             // hot-closure-end
-            let oracle = EngineOracle::new(engine, OracleObjective::Lse(temp));
             let spec = SolveSpec {
                 objective: f,
                 gradient: Some(grad),
-                fd_step: opts.fd_step,
                 constraints: &constraints,
                 project: &project,
                 x0: &x,
-                delta: Some(&oracle),
             };
             let result = solver.minimize(&spec);
             drop(spec);
@@ -362,90 +256,16 @@ fn solve_with_engine_in<'p>(
         // search — same engine workspace, no allocations per call.
         let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| engine.borrow_mut().score_at(xv));
         // hot-closure-end
-        let oracle = EngineOracle::new(engine, OracleObjective::MinMax);
         let spec = SolveSpec {
             objective: f,
             gradient: None,
-            fd_step: opts.fd_step,
             constraints: &constraints,
             project: &project,
             x0: &x,
-            delta: Some(&oracle),
         };
         let result = solver.minimize(&spec);
         drop(spec);
         finish_engine(problem, engine, result.x, result.converged)
-    }
-}
-
-/// The from-scratch path: the pre-engine algorithm over a
-/// [`ScratchEval`] workspace (allocations hoisted, arithmetic
-/// unchanged). Kept selectable as the equivalence oracle and the
-/// benchmark baseline.
-fn solve_with_scratch(
-    problem: &LayoutProblem,
-    initial: &Layout,
-    opts: &SolverOptions,
-    solver: &dyn Solver,
-) -> NlpOutcome {
-    let scratch = RefCell::new(ScratchEval::with_objective(problem, opts.objective));
-    let project = make_projection(problem);
-    let constraints = capacity_constraints(problem);
-    let mut x = initial.to_flat();
-    project(&mut x);
-
-    if solver.wants_smoothing() {
-        let mut converged = false;
-        for &rel_temp in &opts.temperatures {
-            let current_max = scratch.borrow_mut().score_at(&x).max(1e-9);
-            let temp = rel_temp * current_max;
-            let fd = opts.fd_step;
-            // hot-closure-begin: from-scratch closures — scratch
-            // buffers hoisted into the ScratchEval workspace.
-            let f: ObjectiveFn<'_> =
-                Box::new(|xv: &[f64]| scratch.borrow_mut().lse_score(xv, temp));
-            let grad: ObjectiveGradFn<'_> = match opts.grad {
-                GradPath::Analytic => {
-                    Box::new(|xv: &[f64], g: &mut [f64]| scratch.borrow_mut().grad_at(xv, temp, g))
-                }
-                GradPath::Fd => Box::new(|xv: &[f64], g: &mut [f64]| {
-                    scratch.borrow_mut().lse_score_gradient(xv, temp, fd, g)
-                }),
-            };
-            // hot-closure-end
-            let spec = SolveSpec {
-                objective: f,
-                gradient: Some(grad),
-                fd_step: opts.fd_step,
-                constraints: &constraints,
-                project: &project,
-                x0: &x,
-                delta: None,
-            };
-            let result = solver.minimize(&spec);
-            drop(spec);
-            x = result.x;
-            converged = result.converged;
-        }
-        let stats = scratch.borrow().stats;
-        finish(problem, x, converged, stats, opts.objective)
-    } else {
-        // hot-closure-begin
-        let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| scratch.borrow_mut().score_at(xv));
-        // hot-closure-end
-        let spec = SolveSpec {
-            objective: f,
-            gradient: None,
-            fd_step: opts.fd_step,
-            constraints: &constraints,
-            project: &project,
-            x0: &x,
-            delta: None,
-        };
-        let result = solver.minimize(&spec);
-        drop(spec);
-        let stats = scratch.borrow().stats;
-        finish(problem, result.x, result.converged, stats, opts.objective)
     }
 }
 
@@ -459,8 +279,7 @@ fn solve_with_scratch(
 /// of equally-good outcomes), so the result is identical to the serial
 /// loop at any `WASLA_THREADS` setting.
 ///
-/// On the engine path the solves draw from a shared pool of
-/// [`EvalEngine`] workspaces instead of building a fresh engine per
+/// The solves draw from a shared pool of [`EvalEngine`] workspaces instead of building a fresh engine per
 /// start: at most `min(starts, threads)` engines are ever built, and
 /// each is re-pointed per start. Engine caches are pure functions of
 /// the committed point, so reuse is bit-equivalent to rebuilding
@@ -472,9 +291,6 @@ pub fn solve_multistart(
 ) -> Result<NlpOutcome, MultistartError> {
     let pool: Mutex<Vec<EvalEngine<'_>>> = Mutex::new(Vec::new());
     let outcomes = par::par_map(starts, |s| {
-        if opts.eval != EvalPath::Engine {
-            return solve_nlp(problem, s, opts);
-        }
         // A poisoned pool only means another start panicked mid-solve;
         // parked engines are re-pointed before use, so recover the
         // guard rather than propagating the panic.
@@ -506,29 +322,6 @@ pub fn solve_multistart(
     best.ok_or(MultistartError::NoStarts)
 }
 
-fn capacity_constraints(problem: &LayoutProblem) -> Vec<Constraint<'_>> {
-    let n = problem.n();
-    let m = problem.m();
-    (0..m)
-        .map(|j| {
-            let sizes = &problem.workloads.sizes;
-            let cap = problem.capacities[j] as f64;
-            Constraint {
-                g: Box::new(move |x: &[f64]| {
-                    let used: f64 = (0..n).map(|i| sizes[i] as f64 * x[i * m + j]).sum();
-                    used / cap - 1.0
-                }),
-                grad: Box::new(move |_x: &[f64], g: &mut [f64]| {
-                    g.fill(0.0);
-                    for i in 0..n {
-                        g[i * m + j] = sizes[i] as f64 / cap;
-                    }
-                }),
-            }
-        })
-        .collect()
-}
-
 /// Capacity constraints over the engine's cached column sums: each
 /// evaluation is a bitwise diff against the committed point (a no-op
 /// when unchanged) plus one cached read, instead of an O(N) refold.
@@ -555,28 +348,6 @@ fn engine_capacity_constraints<'e, 'p: 'e>(
         .collect()
 }
 
-fn finish(
-    problem: &LayoutProblem,
-    x: Vec<f64>,
-    converged: bool,
-    stats: EvalStats,
-    objective: ObjectiveKind,
-) -> NlpOutcome {
-    let layout = Layout::from_flat(&x, problem.n(), problem.m());
-    let est = UtilizationEstimator::new(problem);
-    let utilizations = est.utilizations(&layout);
-    let max_utilization = max_of(&utilizations);
-    let score = weighted_max(&utilizations, &objective.weights(problem));
-    NlpOutcome {
-        layout,
-        utilizations,
-        max_utilization,
-        score,
-        converged,
-        stats,
-    }
-}
-
 fn finish_engine(
     problem: &LayoutProblem,
     engine: &RefCell<EvalEngine<'_>>,
@@ -586,7 +357,7 @@ fn finish_engine(
     let mut e = engine.borrow_mut();
     e.set_point(&x);
     let utilizations = e.committed_utilizations().to_vec();
-    let max_utilization = e.committed_max_utilization();
+    let max_utilization = max_of(e.committed_utilizations());
     let score = e.committed_score();
     NlpOutcome {
         layout: Layout::from_flat(&x, problem.n(), problem.m()),
@@ -601,6 +372,7 @@ fn finish_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::UtilizationEstimator;
     use crate::initial::initial_layout;
     use std::sync::Arc;
     use wasla_model::CostModel;

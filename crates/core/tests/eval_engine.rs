@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use wasla_core::{
-    weighted_max, EvalEngine, Layout, LayoutProblem, ObjectiveKind, ScratchEval,
+    max_of, weighted_max, EvalEngine, Layout, LayoutProblem, ObjectiveKind, ScratchEval,
     UtilizationEstimator,
 };
 use wasla_model::CostModel;
@@ -132,7 +132,7 @@ proptest! {
                     "utilization mismatch: {} vs {}", a, b);
             }
             prop_assert_eq!(
-                engine.committed_max_utilization().to_bits(),
+                max_of(engine.committed_utilizations()).to_bits(),
                 est.max_utilization(&layout).to_bits()
             );
             for i in 0..n {
@@ -177,8 +177,9 @@ proptest! {
 
     /// For every objective, the incremental engine and the
     /// from-scratch evaluator agree bit-for-bit on the weighted score,
-    /// its LSE smoothing, and the LSE gradient — and the score is
-    /// exactly `weighted_max` over the estimator's utilizations.
+    /// its LSE smoothing, and the analytic LSE gradient — and the
+    /// score is exactly `weighted_max` over the estimator's
+    /// utilizations.
     #[test]
     fn weighted_scores_match_scratch_for_all_objectives(
         problem in problem_strategy(),
@@ -208,8 +209,8 @@ proptest! {
                     "lse score mismatch under {}", kind.name());
                 let mut ge = vec![0.0; n * m];
                 let mut gs = vec![0.0; n * m];
-                engine.lse_score_gradient(&x, 0.05, 1e-4, &mut ge);
-                scratch.lse_score_gradient(&x, 0.05, 1e-4, &mut gs);
+                engine.grad_at(&x, 0.05, &mut ge);
+                scratch.grad_at(&x, 0.05, &mut gs);
                 for (a, b) in ge.iter().zip(&gs) {
                     prop_assert_eq!(a.to_bits(), b.to_bits(),
                         "lse gradient mismatch under {}: {} vs {}", kind.name(), a, b);
@@ -219,9 +220,11 @@ proptest! {
     }
 }
 
-/// On an overlap-sparse problem the per-partial work must be O(degree),
-/// not O(N): the `EvalStats` counters prove each finite-difference
-/// partial touches only the cells whose competing sums actually change.
+/// On an overlap-sparse problem a single-coordinate probe must cost
+/// O(degree), not O(N): the `EvalStats` counters prove each probe
+/// touches only the cells whose competing sums actually change. Every
+/// coordinate is probed up and down, the access pattern of a
+/// structured finite-difference gradient.
 #[test]
 fn stats_confirm_sparse_partials_are_cheap() {
     const N: usize = 64;
@@ -242,13 +245,16 @@ fn stats_confirm_sparse_partials_are_cheap() {
     engine.set_point(&x);
 
     let before = engine.stats;
-    let mut g = vec![0.0; N * M];
-    engine.lse_gradient(&x, 0.05, 1e-4, &mut g);
+    for i in 0..N {
+        for j in 0..M {
+            let orig = x[i * M + j];
+            engine.probe_coord(i, j, orig + 1e-4);
+            engine.probe_coord(i, j, orig - 1e-4);
+        }
+    }
     let d = engine.stats.since(&before);
 
-    assert_eq!(d.gradient_evals, 1);
-    assert_eq!(d.fd_partials, (N * M) as u64);
-    assert_eq!(d.column_probes, 2 * d.fd_partials);
+    assert_eq!(d.column_probes, (2 * N * M) as u64);
     // Each probe re-derives at most the perturbed object's own cell
     // plus its GROUP-1 overlap partners: ≤ 2·GROUP model calls per
     // probe, independent of N.
@@ -265,6 +271,7 @@ fn stats_confirm_sparse_partials_are_cheap() {
         d.mu_reuses,
         d.column_probes * (N - GROUP) as u64
     );
-    // No full rebuilds inside the gradient: probes never commit.
+    // No full rebuilds and no commits: probes never commit.
     assert_eq!(d.full_rebuilds, 0);
+    assert_eq!(d.coord_commits, 0);
 }

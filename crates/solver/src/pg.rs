@@ -49,17 +49,6 @@ pub struct PgResult {
     pub converged: bool,
 }
 
-/// An oracle that evaluates the objective at `x` with one coordinate
-/// replaced: `f(x with x[c] := v)`. Incremental evaluation engines
-/// implement this to answer finite-difference probes in O(N) from
-/// cached per-column aggregates instead of re-evaluating from scratch;
-/// results must be bit-identical to the full objective at the
-/// perturbed point.
-pub trait DeltaOracle {
-    /// The objective value at `x` with `x[c]` replaced by `v`.
-    fn objective_at(&self, x: &[f64], c: usize, v: f64) -> f64;
-}
-
 // hot-closure-begin: gradient kernels run inside solver closures and
 // must not allocate (ci/check.sh greps this region for allocation
 // idioms).
@@ -82,18 +71,6 @@ pub fn fd_gradient<F: Fn(&[f64]) -> f64>(
         scratch[i] = orig - h;
         let fm = f(scratch);
         scratch[i] = orig;
-        grad[i] = (fp - fm) / (2.0 * h);
-    }
-}
-
-/// Central-difference gradient through a [`DeltaOracle`]: each partial
-/// is two single-coordinate probes, which an incremental engine
-/// answers without rebuilding the full objective state.
-pub fn fd_gradient_delta(oracle: &dyn DeltaOracle, x: &[f64], h: f64, grad: &mut [f64]) {
-    for i in 0..x.len() {
-        let orig = x[i];
-        let fp = oracle.objective_at(x, i, orig + h);
-        let fm = oracle.objective_at(x, i, orig - h);
         grad[i] = (fp - fm) / (2.0 * h);
     }
 }
@@ -180,25 +157,6 @@ mod tests {
         fd_gradient(f, &[2.0, 5.0], 1e-5, &mut scratch, &mut g);
         assert!((g[0] - 4.0).abs() < 1e-6);
         assert!((g[1] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fd_gradient_delta_matches_scratch_path() {
-        struct Full;
-        impl DeltaOracle for Full {
-            fn objective_at(&self, x: &[f64], c: usize, v: f64) -> f64 {
-                let term = |i: usize| if i == c { v } else { x[i] };
-                (term(0) - 0.5).powi(2) + 2.0 * term(1)
-            }
-        }
-        let f = |x: &[f64]| (x[0] - 0.5).powi(2) + 2.0 * x[1];
-        let x = [0.3, 0.7];
-        let (mut ga, mut gb, mut scratch) = (vec![0.0; 2], vec![0.0; 2], vec![0.0; 2]);
-        fd_gradient(f, &x, 1e-5, &mut scratch, &mut ga);
-        fd_gradient_delta(&Full, &x, 1e-5, &mut gb);
-        for (a, b) in ga.iter().zip(&gb) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

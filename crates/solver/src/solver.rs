@@ -20,7 +20,7 @@
 
 use crate::anneal::{anneal, AnnealOptions};
 use crate::auglag::{minimize_constrained, AugLagOptions, Constraint};
-use crate::pg::{fd_gradient, fd_gradient_delta, DeltaOracle, PgResult};
+use crate::pg::{fd_gradient, PgResult};
 use std::cell::RefCell;
 
 /// A boxed objective oracle.
@@ -34,12 +34,9 @@ pub type ObjectiveGradFn<'a> = Box<dyn Fn(&[f64], &mut [f64]) + 'a>;
 pub struct SolveSpec<'a> {
     /// The objective to minimize.
     pub objective: ObjectiveFn<'a>,
-    /// Analytic (or structured finite-difference) gradient; engines
-    /// that need one fall back to central differences with `fd_step`
-    /// when absent.
+    /// Gradient of the objective; engines that need one fall back to
+    /// central differences when absent.
     pub gradient: Option<ObjectiveGradFn<'a>>,
-    /// Central-difference step for the fallback gradient.
-    pub fd_step: f64,
     /// Inequality constraints `g(x) ≤ 0` that cannot be folded into
     /// the projection (the layout problem's coupling capacities).
     pub constraints: &'a [Constraint<'a>],
@@ -47,11 +44,6 @@ pub struct SolveSpec<'a> {
     pub project: &'a dyn Fn(&mut [f64]),
     /// Starting point (projected first if infeasible).
     pub x0: &'a [f64],
-    /// Optional single-coordinate perturbation oracle. Engines that
-    /// fall back to finite differences prefer it over differencing the
-    /// black-box objective: an incremental evaluator answers each
-    /// probe in O(N) from cached column aggregates, bit-identically.
-    pub delta: Option<&'a dyn DeltaOracle>,
 }
 
 /// A search engine that can drive one [`SolveSpec`] to a (local)
@@ -72,6 +64,10 @@ pub trait Solver {
     /// iterate and objective value.
     fn minimize(&self, spec: &SolveSpec<'_>) -> PgResult;
 }
+
+/// Central-difference step of the projected-gradient engine's fallback
+/// gradient, for specs that supply none.
+const FALLBACK_FD_STEP: f64 = 1e-6;
 
 /// Projected gradient + augmented Lagrangian (the paper's MINOS
 /// stand-in): gradients from the spec, or central differences when the
@@ -104,33 +100,19 @@ impl Solver for ProjectedGradientSolver {
                 &self.auglag,
             ),
             None => {
-                let h = spec.fd_step;
-                match spec.delta {
-                    // An incremental engine answers the probes in O(N).
-                    Some(oracle) => minimize_constrained(
-                        f,
-                        |x: &[f64], out: &mut [f64]| fd_gradient_delta(oracle, x, h, out),
-                        spec.constraints,
-                        spec.project,
-                        spec.x0,
-                        &self.auglag,
-                    ),
-                    None => {
-                        // Hoisted perturbation buffer: the per-gradient
-                        // `x.to_vec()` used to live in `fd_gradient`.
-                        let scratch = RefCell::new(vec![0.0; spec.x0.len()]);
-                        minimize_constrained(
-                            f,
-                            |x: &[f64], out: &mut [f64]| {
-                                fd_gradient(&f, x, h, &mut scratch.borrow_mut(), out)
-                            },
-                            spec.constraints,
-                            spec.project,
-                            spec.x0,
-                            &self.auglag,
-                        )
-                    }
-                }
+                // Hoisted perturbation buffer, so per-gradient calls
+                // allocate nothing.
+                let scratch = RefCell::new(vec![0.0; spec.x0.len()]);
+                minimize_constrained(
+                    f,
+                    |x: &[f64], out: &mut [f64]| {
+                        fd_gradient(f, x, FALLBACK_FD_STEP, &mut scratch.borrow_mut(), out)
+                    },
+                    spec.constraints,
+                    spec.project,
+                    spec.x0,
+                    &self.auglag,
+                )
             }
         }
     }
@@ -207,11 +189,9 @@ mod tests {
         SolveSpec {
             objective,
             gradient: None,
-            fd_step: 1e-6,
             constraints,
             project,
             x0,
-            delta: None,
         }
     }
 

@@ -8,18 +8,18 @@
 //! wasla-advisor fit --oplog oplog.tsv --objects objects.json [--materialized]
 //! wasla-advisor advise --workloads w.json --targets t.json [--models m.json,...]
 //!                      [--objective minmax|provision-cost|wear-blend]
-//!                      [--grad analytic|fd] [--tier-spec tiers.json]
+//!                      [--tier-spec tiers.json]
 //!                      [--regular] [--pin OBJ=TARGET]... [--forbid OBJ=TARGET]...
 //!                      [--out layout.json]
 //! wasla-advisor capture [--scenario tpch|tpcc] [--scale S] [--max-time T] --out-dir DIR
 //! wasla-advisor replay  --oplog oplog.tsv [--scenario tpch|tpcc] [--scale S]
-//!                       [--objective NAME] [--grad NAME] [--coarse] [--cache-dir DIR]
+//!                       [--objective NAME] [--coarse] [--cache-dir DIR]
 //! wasla-advisor serve   --oplog oplog.tsv --budget BYTES_PER_TICK
 //!                       [--pane-s S] [--panes N] [--threshold X] [--alpha A]
-//!                       [--fail TICK:TARGET]... [--grad NAME] [--cache-dir DIR] [--json]
+//!                       [--fail TICK:TARGET]... [--cache-dir DIR] [--json]
 //! wasla-advisor stress [--tenants N] [--targets M] [--batch B] [--seed S]
 //!                      [--queue-cap N] [--brownout N] [--max-attempts K] ...
-//! wasla-advisor demo  [--scale 0.05] [--objective NAME] [--grad NAME] [--cache-dir DIR]
+//! wasla-advisor demo  [--scale 0.05] [--objective NAME] [--cache-dir DIR]
 //! ```
 //!
 //! * `calibrate` builds a tabulated cost model for a device type and
@@ -33,10 +33,7 @@
 //!   target by its tier's $/IOPS; `wear-blend` penalizes write traffic
 //!   on wear-limited tiers) and `--tier-spec` overrides the per-target
 //!   tier descriptors from a JSON array of `Tier` objects (one per
-//!   target, in target order). `--grad` selects how the NLP solver's
-//!   gradients are computed: `analytic` (default) differentiates the
-//!   cost model exactly in one pass; `fd` is the original structured
-//!   finite-difference scheme, kept as the equivalence oracle.
+//!   target, in target order).
 //! * `capture` runs a built-in scenario under the SEE baseline with
 //!   op-log capture on and writes `oplog.tsv` (the compact
 //!   line-oriented record format) plus `objects.json` to `--out-dir`.
@@ -62,12 +59,13 @@
 //!   starts warm, a corrupt cache file is quarantined and rebuilt, and
 //!   a quarantine that cannot be written maps to the I/O exit code.
 //!
-//! Every failure surfaces as a [`WaslaError`] with a stable exit
-//! code:
+//! Every subcommand rejects arguments it does not know, so a typo
+//! never runs silently with defaults. Every failure surfaces as a
+//! [`WaslaError`] with a stable exit code:
 //!
 //! | exit | class | examples |
 //! |------|-------|----------|
-//! | `2`  | usage | unknown subcommand or flag value, unknown `--objective` or `--grad` name, `--tier-spec`/`--models` length mismatch |
+//! | `2`  | usage | unknown subcommand, flag or flag value, unknown `--objective` name, `--tier-spec`/`--models` length mismatch |
 //! | `3`  | file I/O | unreadable trace/workload/model file, unwritable `--out` |
 //! | `4`  | malformed JSON | corrupt model/workload/tier files |
 //! | `5`  | overloaded | a batch request shed by admission control (`--queue-cap`) |
@@ -89,19 +87,19 @@ const USAGE: &str = "usage:
   wasla-advisor fit --trace FILE --objects FILE [--window-s S] [--out FILE]
   wasla-advisor fit --oplog FILE --objects FILE [--materialized] [--window-s S] [--out FILE]
   wasla-advisor advise --workloads FILE --targets FILE [--models FILE,...] \
-[--objective minmax|provision-cost|wear-blend] [--grad analytic|fd] [--tier-spec FILE] \
+[--objective minmax|provision-cost|wear-blend] [--tier-spec FILE] \
 [--regular] [--pin OBJ=T]... [--forbid OBJ=T]... [--out FILE]
   wasla-advisor capture [--scenario tpch|tpcc] [--scale S] [--max-time T] --out-dir DIR
   wasla-advisor replay --oplog FILE [--scenario tpch|tpcc] [--scale S] \
-[--objective NAME] [--grad NAME] [--coarse] [--cache-dir DIR]
+[--objective NAME] [--coarse] [--cache-dir DIR]
   wasla-advisor serve --oplog FILE --budget BYTES_PER_TICK [--scenario tpch|tpcc] \
 [--scale S] [--pane-s S] [--panes N] [--threshold X] [--alpha A] [--carry-cap N] \
-[--fail TICK:TARGET]... [--objective NAME] [--grad NAME] [--coarse] [--cache-dir DIR] [--json]
+[--fail TICK:TARGET]... [--objective NAME] [--coarse] [--cache-dir DIR] [--json]
   wasla-advisor stress [--tenants N] [--targets M] [--batch B] [--seed S] [--zipf T] \
 [--objects-min N] [--objects-max N] [--size-mib-min X] [--size-mib-max X] \
 [--write-frac F] [--burstiness F] [--interactive-share F] [--batch-share F] \
 [--queue-cap N] [--brownout N] [--max-attempts K] [--backoff-base N] [--backoff-cap N]
-  wasla-advisor demo [--scale S] [--objective NAME] [--grad NAME] [--cache-dir DIR]";
+  wasla-advisor demo [--scale S] [--objective NAME] [--cache-dir DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,21 +148,34 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Rejects any argument that is not one of the subcommand's flags:
+/// each `valued` flag takes the argument after it, each `switch`
+/// stands alone. A typo or a retired flag is a usage error (exit code
+/// 2) instead of a run with silent defaults.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), WaslaError> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if valued.contains(&arg) {
+            if i + 1 == args.len() {
+                return Err(WaslaError::Usage(format!("{arg} requires a value")));
+            }
+            i += 2;
+        } else if switches.contains(&arg) {
+            i += 1;
+        } else {
+            return Err(WaslaError::Usage(format!("unknown argument {arg:?}")));
+        }
+    }
+    Ok(())
+}
+
 /// The layout objective named by `--objective`, defaulting to the
 /// paper's min-max. Unknown names are usage errors (exit code 2).
 fn objective_from_flags(args: &[String]) -> Result<wasla::core::ObjectiveKind, WaslaError> {
     match flag_value(args, "--objective") {
         Some(name) => pipeline::parse_objective(name),
         None => Ok(wasla::core::ObjectiveKind::MinMax),
-    }
-}
-
-/// The gradient path named by `--grad`, defaulting to the analytic
-/// chain rule. Unknown names are usage errors (exit code 2).
-fn grad_from_flags(args: &[String]) -> Result<wasla::core::GradPath, WaslaError> {
-    match flag_value(args, "--grad") {
-        Some(name) => pipeline::parse_grad_path(name),
-        None => Ok(wasla::core::GradPath::default()),
     }
 }
 
@@ -194,6 +205,11 @@ struct ObjectEntry {
 wasla::simlib::impl_json_struct!(ObjectEntry { name, size });
 
 fn fit(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(
+        args,
+        &["--trace", "--oplog", "--objects", "--window-s", "--out"],
+        &["--materialized"],
+    )?;
     let objects_path = require_flag(args, "--objects")?;
     let objects: Vec<ObjectEntry> =
         load_json(objects_path, "objects ([{\"name\":..., \"size\":...}])")?;
@@ -285,6 +301,11 @@ fn scenario_from_flags(
 }
 
 fn capture(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(
+        args,
+        &["--scenario", "--scale", "--max-time", "--out-dir"],
+        &[],
+    )?;
     let out_dir = require_flag(args, "--out-dir")?;
     let (scenario, workloads, settings) = scenario_from_flags(args)?;
     let outcome = wasla::replay::capture_oplog(&scenario, &workloads, &settings)?;
@@ -311,6 +332,18 @@ fn capture(args: &[String]) -> Result<(), WaslaError> {
 }
 
 fn replay(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(
+        args,
+        &[
+            "--scenario",
+            "--scale",
+            "--max-time",
+            "--oplog",
+            "--objective",
+            "--cache-dir",
+        ],
+        &["--coarse"],
+    )?;
     let oplog_path = require_flag(args, "--oplog")?;
     let (scenario, _workloads, _settings) = scenario_from_flags(args)?;
     let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(oplog_path)?)?;
@@ -320,7 +353,6 @@ fn replay(args: &[String]) -> Result<(), WaslaError> {
         AdviseConfig::full()
     };
     config.advisor.solver.objective = objective_from_flags(args)?;
-    config.advisor.solver.grad = grad_from_flags(args)?;
     let validation = match flag_value(args, "--cache-dir") {
         Some(dir) => {
             let (mut service, notes) = wasla::Service::open(0x5eed, dir)?;
@@ -360,6 +392,25 @@ fn failures_from_flags(args: &[String]) -> Result<Vec<wasla::daemon::TargetFailu
 }
 
 fn serve(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(
+        args,
+        &[
+            "--scenario",
+            "--scale",
+            "--max-time",
+            "--oplog",
+            "--budget",
+            "--pane-s",
+            "--panes",
+            "--threshold",
+            "--alpha",
+            "--carry-cap",
+            "--fail",
+            "--objective",
+            "--cache-dir",
+        ],
+        &["--coarse", "--json"],
+    )?;
     let oplog_path = require_flag(args, "--oplog")?;
     let budget: u64 = require_flag(args, "--budget")?
         .parse()
@@ -372,7 +423,6 @@ fn serve(args: &[String]) -> Result<(), WaslaError> {
         AdviseConfig::full()
     };
     config.advisor.solver.objective = objective_from_flags(args)?;
-    config.advisor.solver.grad = grad_from_flags(args)?;
     let numeric = |name: &str, default: f64| -> Result<f64, WaslaError> {
         match flag_value(args, name) {
             Some(v) => v
@@ -417,6 +467,7 @@ fn serve(args: &[String]) -> Result<(), WaslaError> {
 }
 
 fn calibrate(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(args, &["--device", "--capacity-gb", "--out"], &[])?;
     let device = require_flag(args, "--device")?;
     let capacity_gb: f64 = flag_value(args, "--capacity-gb")
         .and_then(|v| v.parse().ok())
@@ -458,6 +509,20 @@ fn parse_constraint(s: &str) -> Result<(String, usize), WaslaError> {
 }
 
 fn advise(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(
+        args,
+        &[
+            "--workloads",
+            "--targets",
+            "--models",
+            "--objective",
+            "--tier-spec",
+            "--pin",
+            "--forbid",
+            "--out",
+        ],
+        &["--regular"],
+    )?;
     let workloads_path = require_flag(args, "--workloads")?;
     let targets_path = require_flag(args, "--targets")?;
     let workloads: WorkloadSet = load_json(workloads_path, "WorkloadSet")?;
@@ -554,7 +619,6 @@ fn advise(args: &[String]) -> Result<(), WaslaError> {
         ..AdvisorOptions::default()
     };
     options.solver.objective = objective_from_flags(args)?;
-    options.solver.grad = grad_from_flags(args)?;
     let rec = recommend(&problem, &options)?;
     println!("{}", render_stages(&problem, &rec.stages));
     println!(
@@ -593,6 +657,7 @@ fn stress(args: &[String]) -> Result<(), WaslaError> {
 }
 
 fn demo(args: &[String]) -> Result<(), WaslaError> {
+    check_flags(args, &["--scale", "--objective", "--cache-dir"], &[])?;
     let scale: f64 = flag_value(args, "--scale")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.05);
@@ -600,7 +665,6 @@ fn demo(args: &[String]) -> Result<(), WaslaError> {
     let workloads = [SqlWorkload::olap1_63(7)];
     let mut config = AdviseConfig::full();
     config.advisor.solver.objective = objective_from_flags(args)?;
-    config.advisor.solver.grad = grad_from_flags(args)?;
     eprintln!("running the built-in TPC-H-like demo at scale {scale}...");
     let outcome = match flag_value(args, "--cache-dir") {
         Some(dir) => {

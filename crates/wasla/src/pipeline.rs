@@ -29,8 +29,8 @@ use crate::error::WaslaError;
 use crate::session::AdvisorSession;
 use std::sync::Arc;
 use wasla_core::{
-    AdminConstraint, AdvisorOptions, GradPath, Layout, LayoutProblem, ObjectiveKind,
-    Recommendation, SolveQuality,
+    AdminConstraint, AdvisorOptions, Layout, LayoutProblem, ObjectiveKind, Recommendation,
+    SolveQuality,
 };
 use wasla_exec::{Engine, Placement, RunConfig, RunOutcome, RunReport};
 use wasla_model::{CalibrationGrid, TargetCostModel};
@@ -60,19 +60,6 @@ pub fn parse_objective(name: &str) -> Result<ObjectiveKind, WaslaError> {
         let valid: Vec<&str> = ObjectiveKind::ALL.iter().map(|k| k.name()).collect();
         WaslaError::Usage(format!(
             "unknown objective {name:?} (valid: {})",
-            valid.join(", ")
-        ))
-    })
-}
-
-/// Parses a user-supplied gradient-path name (the CLI's `--grad`
-/// value) into a [`GradPath`]. Unknown names are
-/// [`WaslaError::Usage`] (exit code 2) and list the valid names.
-pub fn parse_grad_path(name: &str) -> Result<GradPath, WaslaError> {
-    GradPath::from_name(name).ok_or_else(|| {
-        let valid: Vec<&str> = GradPath::ALL.iter().map(|g| g.name()).collect();
-        WaslaError::Usage(format!(
-            "unknown gradient path {name:?} (valid: {})",
             valid.join(", ")
         ))
     })

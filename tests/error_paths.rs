@@ -10,7 +10,7 @@
 //! damage cannot be quarantined — the one persistence failure that is
 //! an error rather than a degradation. Batch admission control gets
 //! the same treatment: a shed request is a typed
-//! [`WaslaError::Overloaded`] (exit 5), and malformed stress CLI
+//! [`WaslaError::Overloaded`] (exit 5), and malformed or unknown CLI
 //! flags are [`WaslaError::Usage`] (exit 2).
 
 use wasla::core::{AdminConstraint, AdvisorError};
@@ -105,33 +105,50 @@ fn unknown_objective_is_a_usage_error() {
 }
 
 #[test]
-fn unknown_grad_path_is_a_usage_error() {
-    use wasla::core::GradPath;
-    // The CLI's `--grad` values parse through this helper; an unknown
-    // name is a usage error (exit code 2) listing the valid names, and
-    // every valid name round-trips.
-    let err = pipeline::parse_grad_path("autodiff")
-        .err()
-        .expect("unknown gradient path should fail");
-    assert!(
-        matches!(err, WaslaError::Usage(_)),
-        "unknown gradient path should be a usage error, got {err:?}"
-    );
-    assert_eq!(err.exit_code(), 2);
-    let msg = err.to_string();
-    for path in GradPath::ALL {
-        assert!(
-            msg.contains(path.name()),
-            "usage error should list {:?}, got {msg}",
-            path.name()
-        );
-        assert_eq!(pipeline::parse_grad_path(path.name()).unwrap(), path);
+fn unknown_cli_flags_are_usage_errors() {
+    // Every `wasla-advisor` subcommand rejects arguments it does not
+    // know before doing any work: a misspelled flag must not run with
+    // its default, and the retired `--grad` flag must not silently run
+    // the one remaining gradient path. Both exit with the usage code.
+    let cases: [&[&str]; 6] = [
+        &[
+            "advise",
+            "--grad",
+            "fd",
+            "--workloads",
+            "w.json",
+            "--targets",
+            "t.json",
+        ],
+        &[
+            "advise",
+            "--objectve",
+            "wear-blend",
+            "--workloads",
+            "w.json",
+        ],
+        &["replay", "--oplog", "oplog.tsv", "--grad", "fd"],
+        &[
+            "serve",
+            "--oplog",
+            "oplog.tsv",
+            "--budget",
+            "1",
+            "--grad",
+            "fd",
+        ],
+        &["demo", "--grad", "fd"],
+        &["demo", "--scale"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wasla-advisor"))
+            .args(args)
+            .output()
+            .expect("run wasla-advisor");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
-    // The long-form alias parses too.
-    assert_eq!(
-        pipeline::parse_grad_path("finite-difference").unwrap(),
-        GradPath::Fd
-    );
 }
 
 #[test]

@@ -1,23 +1,25 @@
 //! Engine-swap determinism: `solve_nlp` outcomes are byte-identical
-//! whether the objective closures run over the incremental
-//! `EvalEngine` or the from-scratch `ScratchEval` path, at any
-//! `WASLA_THREADS` setting.
+//! to the oracle solve over the from-scratch `ScratchEval` evaluator
+//! (`common::oracle_solve`), at any `WASLA_THREADS` setting.
 //!
-//! This is the eval module's contract (DESIGN.md §10): both paths fold
-//! contention through the same canonical pairwise kernel, so swapping
-//! the evaluation machinery may change wall-clock and work counters,
-//! never results. Work counters (`NlpOutcome::stats`) are excluded
-//! from the comparison on purpose — they are the one field that
-//! legitimately differs.
+//! This is the eval module's contract (DESIGN.md §10): both
+//! evaluators fold contention through the same canonical pairwise
+//! kernel, so swapping the evaluation machinery may change wall-clock
+//! and work counters, never results. Work counters
+//! (`NlpOutcome::stats`) are excluded from the comparison on purpose —
+//! they are the one field that legitimately differs.
 //!
 //! The whole check lives in ONE test function: it mutates the
 //! `WASLA_THREADS` environment variable, which is only safe while no
 //! other test in the same binary runs concurrently.
 
+mod common;
+
+use common::{oracle_multistart, oracle_solve, OracleGrad};
 use std::sync::Arc;
 use wasla::core::{
-    initial_layout, solve_multistart, solve_nlp, EvalPath, Layout, LayoutProblem, NlpOutcome,
-    SolveMethod, SolverOptions,
+    initial_layout, solve_multistart, solve_nlp, Layout, LayoutProblem, NlpOutcome, SolveMethod,
+    SolverOptions,
 };
 use wasla::model::CostModel;
 use wasla::storage::IoKind;
@@ -68,7 +70,7 @@ fn outcome_bytes(out: &NlpOutcome) -> String {
 /// pooled engine must be indistinguishable from a freshly built one.
 /// Compare against the pre-pooling semantics: one `solve_nlp` (fresh
 /// engine) per start, winner picked by score in index order.
-fn multistart_pool_matches_fresh_engines(eval: EvalPath) {
+fn multistart_pool_matches_fresh_engines() {
     let p = problem(6, 3);
     let init = initial_layout(&p).expect("ample capacity");
     let see = Layout::see(6, 3);
@@ -85,10 +87,7 @@ fn multistart_pool_matches_fresh_engines(eval: EvalPath) {
     };
     // Four starts so a single worker reuses one engine repeatedly.
     let starts = vec![init.clone(), see.clone(), blend(0.25), blend(0.75)];
-    let opts = SolverOptions {
-        eval,
-        ..SolverOptions::default()
-    };
+    let opts = SolverOptions::default();
     let pooled = solve_multistart(&p, &starts, &opts).expect("starts supplied");
     let fresh = starts
         .iter()
@@ -102,7 +101,10 @@ fn multistart_pool_matches_fresh_engines(eval: EvalPath) {
     );
 }
 
-fn solve_report(eval: EvalPath) -> String {
+/// Single and multistart outcomes under both search engines, solved
+/// by the production engine path (`oracle: false`) or the scratch
+/// oracle (`oracle: true`).
+fn solve_report(oracle: bool) -> String {
     let mut report = String::new();
     for (method, tag) in [
         (SolveMethod::ProjectedGradient, "pg"),
@@ -112,13 +114,21 @@ fn solve_report(eval: EvalPath) -> String {
         let init = initial_layout(&p).expect("ample capacity");
         let opts = SolverOptions {
             method,
-            eval,
             ..SolverOptions::default()
         };
-        let single = solve_nlp(&p, &init, &opts);
+        let starts = [init.clone(), Layout::see(6, 3)];
+        let (single, multi) = if oracle {
+            (
+                oracle_solve(&p, &init, &opts, OracleGrad::Analytic),
+                oracle_multistart(&p, &starts, &opts, OracleGrad::Analytic),
+            )
+        } else {
+            (
+                solve_nlp(&p, &init, &opts),
+                solve_multistart(&p, &starts, &opts).expect("starts supplied"),
+            )
+        };
         report.push_str(&format!("[{tag}] {}", outcome_bytes(&single)));
-        let multi =
-            solve_multistart(&p, &[init, Layout::see(6, 3)], &opts).expect("starts supplied");
         report.push_str(&format!("[{tag}/multi] {}", outcome_bytes(&multi)));
     }
     report
@@ -126,12 +136,8 @@ fn solve_report(eval: EvalPath) -> String {
 
 fn at_threads(t: usize) -> (String, String) {
     std::env::set_var("WASLA_THREADS", t.to_string());
-    let out = (
-        solve_report(EvalPath::Engine),
-        solve_report(EvalPath::Scratch),
-    );
-    multistart_pool_matches_fresh_engines(EvalPath::Engine);
-    multistart_pool_matches_fresh_engines(EvalPath::Scratch);
+    let out = (solve_report(false), solve_report(true));
+    multistart_pool_matches_fresh_engines();
     std::env::remove_var("WASLA_THREADS");
     out
 }

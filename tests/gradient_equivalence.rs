@@ -1,25 +1,24 @@
 //! Analytic-gradient equivalence contract (DESIGN.md §15).
 //!
-//! The analytic gradient (`GradPath::Analytic`, the default) retires
-//! finite differences from the solver hot path; the FD scheme stays
-//! selectable (`GradPath::Fd`) as its equivalence oracle. This suite
-//! pins the contract between them:
+//! The solver differentiates analytically (`EvalEngine::grad_at`);
+//! finite differences survive only as the test-side oracle
+//! (`ScratchEval::fd_grad_at`, and the oracle solve in
+//! `common`). This suite pins the contract between them:
 //!
 //! * **O(h) agreement** — on random calibrated-table problems and on
 //!   both paper catalogs, the structured-FD gradient converges to the
 //!   analytic gradient as the step shrinks (the analytic value is the
 //!   limit the FD scheme approximates, so the minimum error over a
 //!   shrinking-h ladder must be small at generic interior points);
-//! * **solution-quality parity** — multistart solves driven by the
-//!   analytic gradient land within 0.1% of the FD-driven objective;
-//! * **zero probes** — an analytic solve performs no objective probes
+//! * **solution-quality parity** — production multistart solves land
+//!   within 0.1% of the FD-driven oracle multistart objective;
+//! * **zero probes** — a production solve performs no objective probes
 //!   at all (`fd_partials`, `column_probes`, `grad_fd_probes` all
 //!   zero; `grad_analytic_passes` positive), which is the entire
 //!   point of the optimisation, asserted on counters rather than
 //!   inferred from wall-clock;
-//! * **FD-path stability** — `GradPath::Fd` still produces
-//!   byte-identical outcomes across evaluation paths and repeated
-//!   solves, so the oracle itself has not drifted.
+//! * **FD-oracle stability** — repeated FD oracle solves reproduce
+//!   themselves byte for byte, so the oracle itself has not drifted.
 //!
 //! Tolerance notes: FD checks use random *interior* points (simplex-
 //! normalized, generically off every grid knot and layout-model branch
@@ -28,10 +27,13 @@
 //! which is why knot behaviour is pinned by unit tests in
 //! `wasla-model` instead of here.
 
+mod common;
+
+use common::{oracle_multistart, oracle_solve, OracleGrad, FD_STEP};
 use std::sync::{Arc, OnceLock};
 use wasla::core::{
-    initial_layout, solve_multistart, solve_nlp, EvalEngine, EvalPath, GradPath, Layout,
-    LayoutProblem, NlpOutcome, SolverOptions,
+    initial_layout, solve_multistart, solve_nlp, EvalEngine, Layout, LayoutProblem, NlpOutcome,
+    ScratchEval, SolverOptions,
 };
 use wasla::model::{calibrate_device, CalibrationGrid, CostModel, TableModel};
 use wasla::pipeline::{AdviseConfig, Scenario};
@@ -114,20 +116,21 @@ fn random_point(n: usize, m: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Asserts the shrinking-h contract at one point of one problem:
-/// for every coordinate, the best FD approximation across the ladder
-/// must approach the analytic partial. Returns the worst relative
-/// error for diagnostics.
+/// for every coordinate, the best scratch-FD approximation across the
+/// ladder must approach the engine's analytic partial. Returns the
+/// worst relative error for diagnostics.
 fn assert_fd_converges_to_analytic(problem: &LayoutProblem, x: &[f64], label: &str) -> f64 {
     let (n, m) = (problem.n(), problem.m());
     let temp = 0.05;
     let mut engine = EvalEngine::new(problem);
     let mut analytic = vec![0.0; n * m];
     engine.grad_at(x, temp, &mut analytic);
+    let mut scratch = ScratchEval::new(problem);
     let ladder = [1e-3, 1e-4, 1e-5, 1e-6];
     let mut fds: Vec<Vec<f64>> = Vec::new();
     for &h in &ladder {
         let mut g = vec![0.0; n * m];
-        engine.lse_score_gradient(x, temp, h, &mut g);
+        scratch.fd_grad_at(x, temp, h, &mut g);
         fds.push(g);
     }
     let mut worst = 0.0f64;
@@ -159,9 +162,9 @@ proptest! {
         assert_fd_converges_to_analytic(&problem, &x, "random");
     }
 
-    /// Multistart solves driven by the analytic gradient reach an
-    /// objective within 0.1% of the FD-driven solve — retiring FD
-    /// from the hot path must not cost solution quality. Self-skips
+    /// Production multistart solves (analytic gradient) reach an
+    /// objective within 0.1% of the FD-driven oracle multistart —
+    /// retiring FD from the hot path must not cost solution quality. Self-skips
     /// under an active fault plan: solver-budget faults can truncate
     /// the two descents at different points, so strict parity is a
     /// fault-free claim (the convergence and counter tests above and
@@ -174,12 +177,9 @@ proptest! {
         let problem = random_problem(6, 3, seed);
         let init = initial_layout(&problem).expect("ample capacity");
         let starts = [init, Layout::see(6, 3)];
-        let solve = |grad: GradPath| {
-            let opts = SolverOptions { grad, ..SolverOptions::default() };
-            solve_multistart(&problem, &starts, &opts).expect("starts supplied")
-        };
-        let analytic = solve(GradPath::Analytic);
-        let fd = solve(GradPath::Fd);
+        let opts = SolverOptions::default();
+        let analytic = solve_multistart(&problem, &starts, &opts).expect("starts supplied");
+        let fd = oracle_multistart(&problem, &starts, &opts, OracleGrad::Fd(FD_STEP));
         prop_assert!(
             analytic.score <= fd.score * 1.001 + 1e-12,
             "analytic {} vs fd {}",
@@ -229,76 +229,50 @@ fn outcome_bytes(out: &NlpOutcome) -> String {
     )
 }
 
-/// An analytic solve spends zero probes on gradients; an FD solve
-/// spends nothing on analytic passes. The counters are the proof that
-/// the hot path actually changed, independent of wall-clock.
+/// A production solve spends zero probes on gradients; an FD oracle
+/// solve spends nothing on analytic passes. The counters are the proof
+/// that the hot path actually changed, independent of wall-clock.
 #[test]
 fn analytic_solve_spends_zero_probes() {
     let problem = random_problem(6, 3, 42);
     let init = initial_layout(&problem).expect("ample capacity");
-    for eval in [EvalPath::Engine, EvalPath::Scratch] {
-        let analytic = solve_nlp(
-            &problem,
-            &init,
-            &SolverOptions {
-                eval,
-                grad: GradPath::Analytic,
-                ..SolverOptions::default()
-            },
-        );
-        assert_eq!(analytic.stats.fd_partials, 0, "{eval:?}: FD partials");
-        assert_eq!(analytic.stats.column_probes, 0, "{eval:?}: column probes");
-        assert_eq!(analytic.stats.grad_fd_probes, 0, "{eval:?}: FD probes");
-        assert!(
-            analytic.stats.grad_analytic_passes > 0,
-            "{eval:?}: no analytic passes recorded"
-        );
-        let fd = solve_nlp(
-            &problem,
-            &init,
-            &SolverOptions {
-                eval,
-                grad: GradPath::Fd,
-                ..SolverOptions::default()
-            },
-        );
-        assert_eq!(fd.stats.grad_analytic_passes, 0);
-        assert!(fd.stats.grad_fd_probes > 0, "{eval:?}: FD solve probes");
-        assert_eq!(
-            fd.stats.grad_fd_probes,
-            2 * fd.stats.fd_partials,
-            "every FD partial is exactly two probes"
-        );
-    }
+    let opts = SolverOptions::default();
+    let analytic = solve_nlp(&problem, &init, &opts);
+    assert_eq!(analytic.stats.fd_partials, 0, "FD partials");
+    assert_eq!(analytic.stats.column_probes, 0, "column probes");
+    assert_eq!(analytic.stats.grad_fd_probes, 0, "FD probes");
+    assert!(
+        analytic.stats.grad_analytic_passes > 0,
+        "no analytic passes recorded"
+    );
+    let fd = oracle_solve(&problem, &init, &opts, OracleGrad::Fd(FD_STEP));
+    assert_eq!(fd.stats.grad_analytic_passes, 0);
+    assert!(fd.stats.grad_fd_probes > 0, "FD oracle solve probes");
+    assert_eq!(
+        fd.stats.grad_fd_probes,
+        2 * fd.stats.fd_partials,
+        "every FD partial is exactly two probes"
+    );
 }
 
-/// The FD oracle itself must not have drifted: engine and scratch
-/// paths stay byte-identical under `GradPath::Fd`, and repeated FD
+/// The FD oracle itself must not have drifted: repeated FD oracle
 /// solves reproduce themselves exactly — the same contract
-/// `tests/eval_determinism.rs` pins for the default path.
+/// `tests/eval_determinism.rs` pins for the production path.
 #[test]
-fn fd_path_is_stable_across_eval_paths_and_reruns() {
+fn fd_oracle_solve_is_reproducible() {
     let problem = random_problem(6, 3, 7);
     let init = initial_layout(&problem).expect("ample capacity");
-    let solve = |eval: EvalPath| {
-        let opts = SolverOptions {
-            eval,
-            grad: GradPath::Fd,
-            ..SolverOptions::default()
-        };
-        solve_nlp(&problem, &init, &opts)
+    let solve = || {
+        oracle_solve(
+            &problem,
+            &init,
+            &SolverOptions::default(),
+            OracleGrad::Fd(FD_STEP),
+        )
     };
-    let engine = solve(EvalPath::Engine);
-    let scratch = solve(EvalPath::Scratch);
     assert_eq!(
-        outcome_bytes(&engine),
-        outcome_bytes(&scratch),
-        "FD outcomes diverged across evaluation paths"
-    );
-    let again = solve(EvalPath::Engine);
-    assert_eq!(
-        outcome_bytes(&engine),
-        outcome_bytes(&again),
-        "FD solve is not reproducible"
+        outcome_bytes(&solve()),
+        outcome_bytes(&solve()),
+        "FD oracle solve is not reproducible"
     );
 }
