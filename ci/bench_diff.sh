@@ -101,9 +101,9 @@ else
 fi
 
 echo
-echo "== streamed-ingest gate (op-log chunked reader) =="
-# Streaming an op-log through the chunked reader (DESIGN.md §12) must
-# not lose to materializing the trace first: same fit, strictly less
+echo "== streamed-ingest gate (op-log fit vs materialize-then-fit) =="
+# Fitting an op-log straight from its records (DESIGN.md §12) must not
+# lose to materializing the trace first: the same fold, strictly less
 # copying. Compared at a single thread so pool overhead cancels out;
 # 1.25x of slack absorbs wall-clock noise.
 streamed_ns=$(median_of "oplog_ingest_streamed/threads1" ingest)
@@ -119,6 +119,27 @@ if awk -v m="$materialized_ns" -v s="$streamed_ns" 'BEGIN { exit !(s <= 1.25 * m
     echo "ingest gate passed (streamed <= 1.25x materialized)"
 else
     echo "error: streamed ingestion is ${ratio}x the materialized path (gate: 1.25x)" >&2
+    exit 1
+fi
+
+echo
+echo "== production ingest gate (oplog_ingest_streamed vs its committed baseline) =="
+# The production op-log fit at one thread must not fall behind its own
+# committed baseline by more than 1.5x — the ratio gate above only
+# compares two paths through the same fold, so it cannot see the fold
+# itself slowing down. The slack absorbs machine drift; refresh the
+# baseline after an intentional change.
+ingest_base_ns=$(median_of "oplog_ingest_streamed/threads1" ingest results/baselines)
+if [ -z "$ingest_base_ns" ]; then
+    echo "error: oplog_ingest_streamed/threads1 missing from the ingest baseline" >&2
+    exit 1
+fi
+ratio=$(awk -v c="$streamed_ns" -v b="$ingest_base_ns" 'BEGIN { printf "%.2f", c / b }')
+echo "oplog ingest threads1: current ${streamed_ns} ns / baseline ${ingest_base_ns} ns = ${ratio}x"
+if awk -v c="$streamed_ns" -v b="$ingest_base_ns" 'BEGIN { exit !(c <= 1.5 * b) }'; then
+    echo "production ingest gate passed (<= 1.5x baseline)"
+else
+    echo "error: the production op-log fit is ${ratio}x its committed baseline (gate: 1.5x)" >&2
     exit 1
 fi
 

@@ -191,15 +191,17 @@ for fault_seed in 7 11 23 42 99 1337 2024 31337; do
         --tenants 48 --batch 16 --queue-cap 12 --brownout 8 > /dev/null
 done
 
-step "op-log replay-validation gate (streamed == materialized)"
-# The streaming contract (DESIGN.md §12): chunked ingestion of a
-# captured op-log must produce a byte-identical fit to materializing
-# the trace first, at any pool width. Capture a small log with the
-# release binary, ingest it streamed at WASLA_THREADS=1/2/8 plus
-# materialized, and byte-compare every output; then check the replay
-# report itself is byte-identical across pool widths. The golden
-# round-trip (write → read → write vs the committed fixture) runs as
-# the named test suite.
+step "op-log replay-validation gate (streamed fit == reference oracle)"
+# The streaming contract (DESIGN.md §12): ingesting a captured op-log
+# must produce a byte-identical fit at any pool width, and that fit
+# must equal an independent serial per-object reference fitter that
+# shares no code with the library's chunk fold. Capture a small log
+# with the release binary, ingest it at WASLA_THREADS=1/2/8 and
+# byte-compare the outputs; the named test captures the same tpch
+# scale-0.01 log and byte-compares the production fit with the test
+# oracle. Then check the replay report itself is byte-identical across
+# pool widths. The golden round-trip (write → read → write vs the
+# committed fixture) runs as the named test suite.
 advisor=target/release/wasla-advisor
 oplog_tmp=$(mktemp -d)
 "$advisor" capture --scenario tpch --scale 0.01 --out-dir "$oplog_tmp/cap"
@@ -207,15 +209,23 @@ for t in 1 2 8; do
     WASLA_THREADS=$t "$advisor" fit --oplog "$oplog_tmp/cap/oplog.tsv" \
         --objects "$oplog_tmp/cap/objects.json" --out "$oplog_tmp/streamed_t$t.json"
 done
-WASLA_THREADS=1 "$advisor" fit --oplog "$oplog_tmp/cap/oplog.tsv" --materialized \
-    --objects "$oplog_tmp/cap/objects.json" --out "$oplog_tmp/materialized.json"
-for t in 1 2 8; do
-    if ! cmp -s "$oplog_tmp/materialized.json" "$oplog_tmp/streamed_t$t.json"; then
-        echo "error: streamed ingestion at WASLA_THREADS=$t differs from materialized" >&2
+for t in 2 8; do
+    if ! cmp -s "$oplog_tmp/streamed_t1.json" "$oplog_tmp/streamed_t$t.json"; then
+        echo "error: op-log fit at WASLA_THREADS=$t differs from WASLA_THREADS=1" >&2
         exit 1
     fi
 done
-echo "streamed fit == materialized fit at WASLA_THREADS=1/2/8"
+echo "op-log fit byte-identical at WASLA_THREADS=1/2/8"
+oracle_out=$(cargo test -q --offline -p wasla --test trace_roundtrip -- \
+    --exact captured_tpch_log_fit_matches_reference_oracle 2>&1) || {
+    echo "$oracle_out" >&2
+    exit 1
+}
+if ! echo "$oracle_out" | grep -q "1 passed"; then
+    echo "error: the op-log reference-oracle test did not run" >&2
+    exit 1
+fi
+echo "op-log fit == reference oracle on the captured tpch log"
 for t in 1 8; do
     WASLA_THREADS=$t "$advisor" replay --oplog "$oplog_tmp/cap/oplog.tsv" \
         --scenario tpch --coarse > "$oplog_tmp/replay_t$t.txt"

@@ -1,12 +1,12 @@
-//! Op-log ingestion benchmarks: the streamed chunked reader vs the
+//! Op-log ingestion benchmarks: the production streamed fit vs the
 //! materialize-then-fit path, at 1/2/4/8 threads.
 //!
-//! The streaming contract (DESIGN.md §12) says chunked ingestion
-//! through `fit_oplog_streamed` is bit-identical to materializing the
-//! trace and running `fit_workloads` — so the only thing allowed to
-//! differ is wall-clock, and this suite records it
-//! (`results/BENCH_ingest.json`). The parse benches time the strict
-//! TSV reader, whose chunk fan-out also scales with the pool.
+//! Both run the crate's one fitter (DESIGN.md §12): `fit_oplog_streamed`
+//! folds the log's own records, while the materialized side first
+//! copies them into a `Trace` and runs `fit_workloads` — so the fits
+//! are bit-identical and only wall-clock differs, which this suite
+//! records (`results/BENCH_ingest.json`). The parse benches time the
+//! strict TSV reader, whose chunk fan-out also scales with the pool.
 //!
 //! Thread counts are pinned by setting `WASLA_THREADS` around each
 //! case (the bench main is single-threaded, so the writes cannot race
@@ -15,7 +15,7 @@
 use std::hint::black_box;
 use wasla::simlib::SimTime;
 use wasla::storage::{IoKind, GIB};
-use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, DEFAULT_CHUNK};
+use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord};
 use wasla::trace::{fit_workloads, FitConfig};
 use wasla_bench::harness::Harness;
 
@@ -77,7 +77,7 @@ fn bench_streamed(c: &mut Harness) {
             group.bench_function(format!("threads{t}"), |b| {
                 b.iter(|| {
                     black_box(
-                        fit_oplog_streamed(&log, &names, &sizes, &config, DEFAULT_CHUNK)
+                        fit_oplog_streamed(&log, &names, &sizes, &config)
                             .expect("streamed fit succeeds"),
                     )
                 })

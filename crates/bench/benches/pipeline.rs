@@ -12,7 +12,7 @@ use std::hint::black_box;
 use wasla::model::CalibrationGrid;
 use wasla::pipeline::{AdviseConfig, Scenario};
 use wasla::workload::SqlWorkload;
-use wasla::{AdviseRequest, AdvisorSession, Service};
+use wasla::{AdviseRequest, AdvisorSession, BatchPolicy, Service};
 use wasla_bench::harness::Harness;
 
 /// Small scenario, cheap solver, high-fidelity calibration grid:
@@ -78,12 +78,13 @@ fn bench_warm_batch(c: &mut Harness) {
         AdviseRequest::new(scenario(), vec![SqlWorkload::olap8_63(5)], config()),
     ];
     let mut service = Service::new(0xBE7C4);
-    for outcome in service.advise_batch(&requests) {
+    let policy = BatchPolicy::default();
+    for outcome in service.advise_batch_with(&requests, &policy).outcomes {
         outcome.expect("prewarm batch succeeds");
     }
     c.bench_function("advise_batch_warm_2req", |b| {
         b.iter(|| {
-            for outcome in black_box(service.advise_batch(&requests)) {
+            for outcome in black_box(service.advise_batch_with(&requests, &policy).outcomes) {
                 outcome.expect("warm batch succeeds");
             }
         })

@@ -64,8 +64,8 @@ pub struct FaultPlan {
     seed: u64,
 }
 
-/// An injected trace fault: records at index `>= keep_fraction * len`
-/// are corrupted (their stream id driven out of range), so a fitter
+/// An injected trace fault: records at or past the damage point
+/// [`FaultPlan::trace_keep`] are corrupted (a torn tail), so a fitter
 /// must salvage the valid prefix.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceFault {
@@ -194,6 +194,16 @@ impl FaultPlan {
         })
     }
 
+    /// The damage point of the trace identified by `content_key` with
+    /// `len` records: how many leading records its trace fault leaves
+    /// intact, `⌊len · keep_fraction⌋`, or `None` when the trace is not
+    /// faulted. The one place the cut is computed; every salvage path
+    /// fits exactly the records before it.
+    pub fn trace_keep(&self, content_key: u64, len: usize) -> Option<usize> {
+        self.trace_fault(content_key)
+            .map(|tf| ((len as f64) * tf.keep_fraction) as usize)
+    }
+
     /// Does the device identified by `key` (see [`device_key`] /
     /// [`calibration_key`]) misbehave? Fires for roughly an eighth of
     /// keys; a quarter of those are hard failures.
@@ -254,6 +264,22 @@ mod tests {
     fn zero_seed_means_off() {
         assert!(FaultPlan::from_seed(0).is_none());
         assert!(FaultPlan::from_seed(1).is_some());
+    }
+
+    #[test]
+    fn trace_keep_cuts_at_the_floor_of_the_keep_fraction() {
+        let p = FaultPlan::from_seed(0xfa_017).unwrap();
+        for key in 0..200u64 {
+            let tf = p.trace_fault(key);
+            for len in [0usize, 1, 2, 7, 100, 4097] {
+                let keep = p.trace_keep(key, len);
+                assert_eq!(keep.is_some(), tf.is_some());
+                if let (Some(keep), Some(tf)) = (keep, tf) {
+                    assert_eq!(keep, (len as f64 * tf.keep_fraction).floor() as usize);
+                    assert!(keep < len || len == 0, "the tail is always torn");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,15 +16,19 @@
 //!   fraction of windows in which `i` is active where `j` is also
 //!   active.
 //!
-//! Fitting is parallel per object: a serial pass partitions the trace
-//! into per-stream record lists (validating stream ids against the
-//! catalog), then the per-object accumulation and spec construction fan
-//! out over [`wasla_simlib::par`]. Each object consumes its records in
-//! trace order, so the result is bit-identical to the serial pass at
-//! any `WASLA_THREADS` setting.
+//! One fitter turns records into specs: [`ChunkStats`], a per-object
+//! fold whose partials over adjacent record ranges merge exactly. Every
+//! entry point is an adapter over it — [`fit_workloads`] over a
+//! materialized [`Trace`], [`fit_records`] over any record slice (such
+//! as the kept prefix of a damaged trace), and
+//! [`oplog::fit_oplog_streamed`] / [`oplog::windowed_workloads`] over
+//! op-logs. Fixed-size record chunks ([`oplog::DEFAULT_CHUNK`]) fold
+//! over [`wasla_simlib::par`] and merge in order, so the fitted set is
+//! bit-identical at any `WASLA_THREADS` setting.
 
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::par;
+use wasla_simlib::SimTime;
 use wasla_storage::{BlockTraceRecord, IoKind, Trace};
 use wasla_workload::{WorkloadSet, WorkloadSpec};
 
@@ -132,110 +136,259 @@ impl Default for FitConfig {
     }
 }
 
-/// Per-object accumulation state during the single pass over the trace.
-///
-/// Also usable as a *partial* accumulation over a contiguous chunk of
-/// the trace: `first` remembers the shape of the object's first request
-/// in the chunk so [`oplog`]'s merge can decide whether the chunk
-/// boundary split a sequential run.
-#[derive(Clone, Debug)]
+/// A record the fitter can fold: block-trace records and op-log
+/// records both reduce to the submission-time block view.
+pub trait FitRecord: Sync {
+    /// The block-trace view of this record.
+    fn block(&self) -> BlockTraceRecord;
+}
+
+impl FitRecord for BlockTraceRecord {
+    fn block(&self) -> BlockTraceRecord {
+        *self
+    }
+}
+
+/// Per-object fold state over one contiguous record range.
+#[derive(Clone, Debug, Default)]
 struct Accum {
     reads: u64,
     writes: u64,
     read_bytes: u64,
     write_bytes: u64,
     runs: u64,
-    /// `(offset, len)` of the object's first record in this
-    /// accumulation range (used only when merging partials).
+    /// `(offset, len)` of the object's first record in the range, so a
+    /// merge can tell whether the range boundary split a sequential run.
     first: Option<(u64, u64)>,
     next_expected: Option<u64>,
     windows: Vec<u32>,
 }
 
 impl Accum {
-    fn new() -> Self {
-        Accum {
-            reads: 0,
-            writes: 0,
-            read_bytes: 0,
-            write_bytes: 0,
-            runs: 0,
-            first: None,
-            next_expected: None,
-            windows: Vec::new(),
-        }
-    }
-
     fn requests(&self) -> u64 {
         self.reads + self.writes
     }
 }
 
-/// Fits Rome workload descriptions from a block trace.
+/// Does a request at `offset` of `len` bytes continue the sequential
+/// run whose next expected offset is `next`? Readahead absorbs forward
+/// skips up to the gap tolerance.
+fn continues(next: Option<u64>, offset: u64, len: u64, config: &FitConfig) -> bool {
+    next.is_some_and(|next| {
+        offset >= next.saturating_sub(len) && offset <= next + config.gap_tolerance
+    })
+}
+
+/// Mergeable per-object fitting statistics over one contiguous record
+/// range — the only code that turns records into [`WorkloadSpec`]s.
 ///
-/// `names` and `sizes` describe the objects; the trace's stream ids
-/// index into them. Objects with no traced requests get an idle spec.
+/// Per object it holds the request/byte counters, the sequential-run
+/// count, the trailing `next_expected` offset, the range's first
+/// request shape and the deduplicated activity-window list; per range,
+/// the first and last record times. Merging two adjacent partials is
+/// exact:
 ///
-/// Per-object accumulation and spec construction run on the
-/// [`par`] pool; each object still sees its records in trace order, so
-/// the fitted set is bit-identical at any thread count.
-pub fn fit_workloads(
-    trace: &Trace,
-    names: &[String],
-    sizes: &[u64],
+/// * counters add;
+/// * the later range's run count is decremented iff its first request
+///   continues the earlier range's trailing run;
+/// * window lists concatenate with one boundary dedup;
+/// * `next_expected` and the span endpoints carry over.
+///
+/// Every operation is integer arithmetic (or an f64 carried verbatim),
+/// so the merged state equals observing both ranges serially *bitwise*,
+/// and the fitted set does not depend on where the chunk boundaries
+/// fall.
+#[derive(Clone, Debug)]
+pub struct ChunkStats {
+    accums: Vec<Accum>,
+    first_time: Option<SimTime>,
+    last_time: Option<SimTime>,
+}
+
+impl ChunkStats {
+    /// Empty statistics for `n_objects` objects.
+    pub fn new(n_objects: usize) -> Self {
+        ChunkStats {
+            accums: vec![Accum::default(); n_objects],
+            first_time: None,
+            last_time: None,
+        }
+    }
+
+    /// Folds one record into the statistics. Records must arrive in
+    /// time order. Fails on a stream id outside the catalog.
+    pub fn observe(&mut self, rec: &BlockTraceRecord, config: &FitConfig) -> Result<(), FitError> {
+        let objects = self.accums.len();
+        let a = self
+            .accums
+            .get_mut(rec.stream as usize)
+            .ok_or(FitError::StreamOutOfRange {
+                stream: rec.stream,
+                objects,
+            })?;
+        a.first.get_or_insert((rec.offset, rec.len));
+        match rec.kind {
+            IoKind::Read => {
+                a.reads += 1;
+                a.read_bytes += rec.len;
+            }
+            IoKind::Write => {
+                a.writes += 1;
+                a.write_bytes += rec.len;
+            }
+        }
+        if !continues(a.next_expected, rec.offset, rec.len, config) {
+            a.runs += 1;
+        }
+        a.next_expected = Some(rec.offset + rec.len);
+        let w = (rec.time.as_secs() / config.window_s) as u32;
+        if a.windows.last() != Some(&w) {
+            a.windows.push(w);
+        }
+        self.first_time.get_or_insert(rec.time);
+        self.last_time = Some(rec.time);
+        Ok(())
+    }
+
+    /// Serially folds `records` into fresh statistics for `n_objects`
+    /// objects.
+    fn of<R: FitRecord>(
+        records: &[R],
+        n_objects: usize,
+        config: &FitConfig,
+    ) -> Result<Self, FitError> {
+        let mut stats = ChunkStats::new(n_objects);
+        for rec in records {
+            stats.observe(&rec.block(), config)?;
+        }
+        Ok(stats)
+    }
+
+    /// Merges the statistics of the *immediately following* record
+    /// range into `self`. Exact: the result equals observing both
+    /// ranges serially.
+    pub fn merge(&mut self, later: &ChunkStats, config: &FitConfig) {
+        for (a, b) in self.accums.iter_mut().zip(&later.accums) {
+            if b.requests() == 0 {
+                continue;
+            }
+            if a.requests() == 0 {
+                *a = b.clone();
+                continue;
+            }
+            // The later range counted its first request as a run start
+            // (its local `next_expected` was None). Undo that iff the
+            // request actually continues our trailing run.
+            let joined = b
+                .first
+                .is_some_and(|(offset, len)| continues(a.next_expected, offset, len, config));
+            a.reads += b.reads;
+            a.writes += b.writes;
+            a.read_bytes += b.read_bytes;
+            a.write_bytes += b.write_bytes;
+            a.runs += b.runs - u64::from(joined);
+            a.next_expected = b.next_expected;
+            let skip_dup = a.windows.last() == b.windows.first();
+            a.windows
+                .extend(b.windows.iter().skip(usize::from(skip_dup)).copied());
+        }
+        if self.first_time.is_none() {
+            self.first_time = later.first_time;
+        }
+        if later.last_time.is_some() {
+            self.last_time = later.last_time;
+        }
+    }
+
+    /// Builds the fitted workload set from the accumulated statistics.
+    /// Spec construction fans over [`par`]; objects with no observed
+    /// requests get an idle spec.
+    pub fn finish(&self, names: &[String], sizes: &[u64]) -> Result<WorkloadSet, FitError> {
+        if names.len() != sizes.len() || names.len() != self.accums.len() {
+            return Err(FitError::ShapeMismatch {
+                names: names.len(),
+                sizes: sizes.len(),
+            });
+        }
+        let span = match (self.first_time, self.last_time) {
+            (Some(f), Some(l)) => (l - f).as_secs(),
+            _ => 0.0,
+        }
+        .max(1e-9);
+        let object_ids: Vec<usize> = (0..self.accums.len()).collect();
+        let specs = par::par_map(&object_ids, |&i| build_spec(&self.accums, i, span));
+        Ok(WorkloadSet {
+            names: names.to_vec(),
+            sizes: sizes.to_vec(),
+            specs,
+        })
+    }
+}
+
+/// The fold behind every fitting entry point: fixed-size chunks of
+/// `records` ([`oplog::DEFAULT_CHUNK`]) are observed in parallel and
+/// merged in order. Chunk boundaries depend only on the record count,
+/// never on the thread count, and the first out-of-range stream id in
+/// record order fails the fold.
+fn fold<R: FitRecord>(
+    records: &[R],
+    n_objects: usize,
     config: &FitConfig,
-) -> Result<WorkloadSet, FitError> {
+) -> Result<ChunkStats, FitError> {
+    let chunks: Vec<&[R]> = records.chunks(oplog::DEFAULT_CHUNK).collect();
+    let mut partials =
+        par::par_map(&chunks, |chunk| ChunkStats::of(chunk, n_objects, config)).into_iter();
+    let mut merged = match partials.next() {
+        Some(first) => first?,
+        None => ChunkStats::new(n_objects),
+    };
+    for partial in partials {
+        merged.merge(&partial?, config);
+    }
+    Ok(merged)
+}
+
+/// Rejects an object catalog whose names and sizes disagree on the
+/// object count.
+fn check_shape(names: &[String], sizes: &[u64]) -> Result<(), FitError> {
     if names.len() != sizes.len() {
         return Err(FitError::ShapeMismatch {
             names: names.len(),
             sizes: sizes.len(),
         });
     }
-    let n = names.len();
-    let span = trace.span().as_secs().max(1e-9);
-    let records = trace.records();
-
-    // Serial pass: validate stream ids and partition record indices by
-    // object, preserving trace order within each object.
-    let mut per_object: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, rec) in records.iter().enumerate() {
-        let i = rec.stream as usize;
-        if i >= n {
-            return Err(FitError::StreamOutOfRange {
-                stream: rec.stream,
-                objects: n,
-            });
-        }
-        per_object[i].push(k);
-    }
-
-    // Parallel accumulation: objects are independent once partitioned.
-    let accums: Vec<Accum> = par::par_map(&per_object, |indices| {
-        let mut a = Accum::new();
-        for &k in indices {
-            let rec = &records[k];
-            observe(&mut a, rec, config);
-            let w = (rec.time.as_secs() / config.window_s) as u32;
-            if a.windows.last() != Some(&w) {
-                a.windows.push(w);
-            }
-        }
-        a
-    });
-
-    // Parallel spec construction: each spec reads all accums immutably
-    // (the overlap row needs every object's window list).
-    let object_ids: Vec<usize> = (0..n).collect();
-    let specs = par::par_map(&object_ids, |&i| build_spec(&accums, i, span));
-    Ok(WorkloadSet {
-        names: names.to_vec(),
-        sizes: sizes.to_vec(),
-        specs,
-    })
+    Ok(())
 }
 
-/// What a lossy fit salvaged: how much of the trace was fit and how
-/// much was discarded as damaged.
+/// Fits Rome workload descriptions from records in time order.
+///
+/// `names` and `sizes` describe the objects; the records' stream ids
+/// index into them. Objects with no requests get an idle spec. Rates
+/// are normalized over the records' own span (first to last), so
+/// fitting a prefix is exactly fitting the shorter trace.
+pub fn fit_records<R: FitRecord>(
+    records: &[R],
+    names: &[String],
+    sizes: &[u64],
+    config: &FitConfig,
+) -> Result<WorkloadSet, FitError> {
+    check_shape(names, sizes)?;
+    fold(records, names.len(), config)?.finish(names, sizes)
+}
+
+/// Fits Rome workload descriptions from a block trace: [`fit_records`]
+/// over the trace's records.
+pub fn fit_workloads(
+    trace: &Trace,
+    names: &[String],
+    sizes: &[u64],
+    config: &FitConfig,
+) -> Result<WorkloadSet, FitError> {
+    fit_records(trace.records(), names, sizes, config)
+}
+
+/// What a salvaging ingest kept: how much of a damaged record stream
+/// was fitted and how much was discarded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SalvageReport {
     /// Records in the valid prefix that was fitted.
@@ -249,85 +402,6 @@ impl SalvageReport {
     pub fn degraded(&self) -> bool {
         self.dropped > 0
     }
-}
-
-/// [`fit_workloads`], but tolerant of a damaged trace tail: fits the
-/// longest valid prefix (every record before the first out-of-range
-/// stream id) and reports how much was salvaged.
-///
-/// A fully valid trace fits identically to the strict path with zero
-/// drops. A trace whose *first* record is already damaged has no
-/// salvageable prefix, so the strict [`FitError`] propagates — callers
-/// degrade gracefully only when there is signal left to degrade to.
-pub fn fit_workloads_lossy(
-    trace: &Trace,
-    names: &[String],
-    sizes: &[u64],
-    config: &FitConfig,
-) -> Result<(WorkloadSet, SalvageReport), FitError> {
-    if names.len() != sizes.len() {
-        return Err(FitError::ShapeMismatch {
-            names: names.len(),
-            sizes: sizes.len(),
-        });
-    }
-    let n = names.len();
-    let records = trace.records();
-    let valid = records
-        .iter()
-        .position(|r| r.stream as usize >= n)
-        .unwrap_or(records.len());
-    if valid == records.len() {
-        let set = fit_workloads(trace, names, sizes, config)?;
-        return Ok((
-            set,
-            SalvageReport {
-                kept: valid,
-                dropped: 0,
-            },
-        ));
-    }
-    if valid == 0 {
-        return Err(FitError::StreamOutOfRange {
-            stream: records[0].stream,
-            objects: n,
-        });
-    }
-    let mut prefix = Trace::new();
-    for rec in &records[..valid] {
-        prefix.push(rec.clone());
-    }
-    let set = fit_workloads(&prefix, names, sizes, config)?;
-    Ok((
-        set,
-        SalvageReport {
-            kept: valid,
-            dropped: records.len() - valid,
-        },
-    ))
-}
-
-fn observe(a: &mut Accum, rec: &BlockTraceRecord, config: &FitConfig) {
-    if a.first.is_none() {
-        a.first = Some((rec.offset, rec.len));
-    }
-    match rec.kind {
-        IoKind::Read => {
-            a.reads += 1;
-            a.read_bytes += rec.len;
-        }
-        IoKind::Write => {
-            a.writes += 1;
-            a.write_bytes += rec.len;
-        }
-    }
-    let continues = a.next_expected.is_some_and(|next| {
-        rec.offset >= next.saturating_sub(rec.len) && rec.offset <= next + config.gap_tolerance
-    });
-    if !continues {
-        a.runs += 1;
-    }
-    a.next_expected = Some(rec.offset + rec.len);
 }
 
 fn build_spec(accums: &[Accum], i: usize, span: f64) -> WorkloadSpec {
@@ -424,6 +498,10 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> usize {
     }
     count
 }
+
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -612,11 +690,11 @@ mod tests {
 
     #[test]
     fn parallel_fit_matches_serial() {
-        // Many interleaved streams: the partitioned parallel fit must
-        // reproduce the serial result exactly (same WASLA_THREADS-free
-        // path, explicit widths via the pool's own determinism tests).
+        // Many interleaved streams over several fold chunks: the
+        // chunked parallel fit must reproduce the independent serial
+        // per-object reference fitter bit for bit.
         let mut trace = Trace::new();
-        for k in 0..400u64 {
+        for k in 0..(2 * oplog::DEFAULT_CHUNK as u64 + 400) {
             trace.push(rec(
                 k as f64 * 0.05,
                 (k % 2) as u32,
@@ -625,85 +703,27 @@ mod tests {
                 } else {
                     IoKind::Read
                 },
-                (k * 123_457) % (1 << 28),
+                if k % 7 == 0 {
+                    (k * 123_457) % (1 << 28)
+                } else {
+                    k * 16384
+                },
                 4096 + (k % 4) * 4096,
             ));
         }
         let (names, sizes) = two_obj_names();
-        let fitted = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let config = FitConfig::default();
+        let fitted = fit_workloads(&trace, &names, &sizes, &config).unwrap();
+        let reference = reference::reference_fit(
+            trace.records(),
+            &names,
+            &sizes,
+            config.window_s,
+            config.gap_tolerance,
+        );
         use wasla_simlib::json::to_string;
-        let a = to_string(&fitted);
-        let b = to_string(&fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap());
-        assert_eq!(a, b);
+        assert_eq!(to_string(&fitted), to_string(&reference));
         fitted.validate().unwrap();
-    }
-
-    #[test]
-    fn lossy_fit_salvages_valid_prefix() {
-        let (names, sizes) = two_obj_names();
-        // A clean 20-record trace, then a damaged 10-record tail.
-        let mut clean = Trace::new();
-        let mut damaged = Trace::new();
-        for k in 0..30u64 {
-            let stream = if k < 20 { (k % 2) as u32 } else { u32::MAX };
-            let r = rec(k as f64 * 0.1, stream, IoKind::Read, k * 8192, 8192);
-            if k < 20 {
-                clean.push(r.clone());
-            }
-            damaged.push(r);
-        }
-        let (set, salvage) =
-            fit_workloads_lossy(&damaged, &names, &sizes, &FitConfig::default()).unwrap();
-        assert_eq!(
-            salvage,
-            SalvageReport {
-                kept: 20,
-                dropped: 10
-            }
-        );
-        assert!(salvage.degraded());
-        // The salvaged fit is exactly the fit of the clean prefix.
-        let clean_set = fit_workloads(&clean, &names, &sizes, &FitConfig::default()).unwrap();
-        use wasla_simlib::json::to_string;
-        assert_eq!(to_string(&set), to_string(&clean_set));
-    }
-
-    #[test]
-    fn lossy_fit_on_clean_trace_matches_strict_with_zero_drops() {
-        let (names, sizes) = two_obj_names();
-        let mut trace = Trace::new();
-        for k in 0..10u64 {
-            trace.push(rec(k as f64, (k % 2) as u32, IoKind::Read, k * 4096, 4096));
-        }
-        let (set, salvage) =
-            fit_workloads_lossy(&trace, &names, &sizes, &FitConfig::default()).unwrap();
-        assert_eq!(
-            salvage,
-            SalvageReport {
-                kept: 10,
-                dropped: 0
-            }
-        );
-        assert!(!salvage.degraded());
-        let strict = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
-        use wasla_simlib::json::to_string;
-        assert_eq!(to_string(&set), to_string(&strict));
-    }
-
-    #[test]
-    fn lossy_fit_with_no_valid_prefix_keeps_the_typed_error() {
-        let (names, sizes) = two_obj_names();
-        let mut trace = Trace::new();
-        trace.push(rec(0.0, 9, IoKind::Read, 0, 8192));
-        trace.push(rec(1.0, 0, IoKind::Read, 0, 8192));
-        let err = fit_workloads_lossy(&trace, &names, &sizes, &FitConfig::default()).unwrap_err();
-        assert_eq!(
-            err,
-            FitError::StreamOutOfRange {
-                stream: 9,
-                objects: 2
-            }
-        );
     }
 
     #[test]

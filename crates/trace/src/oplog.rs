@@ -1,12 +1,13 @@
 //! Streaming op-log capture/replay ingestion.
 //!
-//! The advisor is driven entirely by traces, but [`fit_workloads`]
-//! wants the whole trace materialized in memory — a scaling wall for
-//! production-length captures. This module adds a compact
-//! line-oriented *op-log* format plus a chunked reader whose per-object
-//! sufficient statistics are **mergeable**, so fits stream through
-//! [`wasla_simlib::par`] chunk by chunk and still come out bit-identical
-//! to the materialized path at any `WASLA_THREADS` setting.
+//! The advisor is driven entirely by traces, but a production-length
+//! capture should not have to be materialized as a [`Trace`] before it
+//! is fitted. This module adds a compact line-oriented *op-log* format,
+//! a chunked reader, and op-log adapters over the crate's one fitter
+//! (the mergeable [`ChunkStats`] fold): [`fit_oplog_streamed`] fits a
+//! whole log and [`windowed_workloads`] fits pane-aligned sliding
+//! windows of it. Both fold the log's own records, never a materialized
+//! copy, and come out bit-identical at any `WASLA_THREADS` setting.
 //!
 //! # Record format (TSV, one op per line)
 //!
@@ -22,28 +23,8 @@
 //! serialized with [`json::format_f64`] (shortest round-trip decimal),
 //! so write → read → write is byte-identical. Records appear in issue
 //! order; `complete ≥ issue` per record.
-//!
-//! # Mergeable sufficient statistics
-//!
-//! A [`ChunkStats`] is the per-object fitting state over one contiguous
-//! record range: request/byte counters, the sequential-run count, the
-//! trailing `next_expected` offset, the chunk's first request shape,
-//! and the deduplicated activity-window list. Merging two adjacent
-//! partials is exact:
-//!
-//! * counters add;
-//! * the later chunk's run count is decremented iff its first request
-//!   continues the earlier chunk's trailing run (same `continues`
-//!   predicate as the serial pass);
-//! * window lists concatenate with one boundary dedup;
-//! * `next_expected` and the span endpoints carry over.
-//!
-//! Every operation is integer arithmetic (or an f64 carried verbatim),
-//! so the merged state equals the serial single-pass state *bitwise*,
-//! and the specs built from it are byte-identical to
-//! [`fit_workloads`] on the materialized trace.
 
-use crate::{build_spec, observe, Accum, FitConfig, FitError};
+use crate::{check_shape, fit_records, ChunkStats, FitConfig, FitError, FitRecord};
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::par;
@@ -54,7 +35,7 @@ use wasla_workload::WorkloadSet;
 /// First line of every op-log file.
 pub const FORMAT_HEADER: &str = "#wasla-oplog v1";
 
-/// Records per chunk for the streaming reader and the streamed fit.
+/// Records per chunk for the chunked reader and the fitter's fold.
 /// Chunk boundaries depend only on this constant — never on the thread
 /// count — so the streamed result is reproducible at any
 /// `WASLA_THREADS`.
@@ -81,10 +62,10 @@ pub struct OpRecord {
     pub complete: SimTime,
 }
 
-impl OpRecord {
+impl FitRecord for OpRecord {
     /// The trace-record view of this op (the fit consumes submission
     /// times only).
-    pub fn as_block_record(&self) -> BlockTraceRecord {
+    fn block(&self) -> BlockTraceRecord {
         BlockTraceRecord {
             time: self.issue,
             stream: self.stream,
@@ -347,7 +328,7 @@ impl OpLog {
     pub fn to_trace(&self) -> Trace {
         let mut trace = Trace::new();
         for rec in &self.records {
-            trace.push(rec.as_block_record());
+            trace.push(rec.block());
         }
         trace
     }
@@ -420,7 +401,7 @@ impl OpLog {
     /// A clean log parses fully with a zero-drop salvage. A log whose
     /// *first* record line is already damaged (or whose header is
     /// missing) has no salvageable prefix, so the typed error
-    /// propagates — mirroring [`crate::fit_workloads_lossy`].
+    /// propagates.
     pub fn parse_tsv_lossy(text: &str) -> Result<(OpLog, OpLogSalvage), OpLogError> {
         let mut lines = text.lines();
         match lines.next() {
@@ -564,153 +545,18 @@ fn parse_time(line: usize, field: &'static str, raw: &str) -> Result<SimTime, Op
     Ok(SimTime::from_secs(secs))
 }
 
-/// Mergeable per-object fitting statistics over one contiguous record
-/// range. See the module docs for the merge contract.
-#[derive(Clone, Debug)]
-pub struct ChunkStats {
-    accums: Vec<Accum>,
-    first_time: Option<SimTime>,
-    last_time: Option<SimTime>,
-}
-
-impl ChunkStats {
-    /// Empty statistics for `n_objects` objects.
-    pub fn new(n_objects: usize) -> Self {
-        ChunkStats {
-            accums: vec![Accum::new(); n_objects],
-            first_time: None,
-            last_time: None,
-        }
-    }
-
-    /// Folds one record into the statistics. Records must arrive in
-    /// issue order. Fails on a stream id outside the catalog, exactly
-    /// like the materialized fit.
-    pub fn observe(&mut self, rec: &BlockTraceRecord, config: &FitConfig) -> Result<(), FitError> {
-        let i = rec.stream as usize;
-        if i >= self.accums.len() {
-            return Err(FitError::StreamOutOfRange {
-                stream: rec.stream,
-                objects: self.accums.len(),
-            });
-        }
-        let a = &mut self.accums[i];
-        observe(a, rec, config);
-        let w = (rec.time.as_secs() / config.window_s) as u32;
-        if a.windows.last() != Some(&w) {
-            a.windows.push(w);
-        }
-        if self.first_time.is_none() {
-            self.first_time = Some(rec.time);
-        }
-        self.last_time = Some(rec.time);
-        Ok(())
-    }
-
-    /// Merges the statistics of the *immediately following* record
-    /// range into `self`. Exact: the result equals observing both
-    /// ranges serially.
-    pub fn merge(&mut self, later: &ChunkStats, config: &FitConfig) {
-        for (a, b) in self.accums.iter_mut().zip(&later.accums) {
-            if b.requests() == 0 {
-                continue;
-            }
-            if a.requests() == 0 {
-                *a = b.clone();
-                continue;
-            }
-            // The later chunk counted its first request as a run start
-            // (its local `next_expected` was None). Undo that iff the
-            // request actually continues our trailing run.
-            let continues = match (b.first, a.next_expected) {
-                (Some((offset, len)), Some(next)) => {
-                    offset >= next.saturating_sub(len) && offset <= next + config.gap_tolerance
-                }
-                _ => false,
-            };
-            a.reads += b.reads;
-            a.writes += b.writes;
-            a.read_bytes += b.read_bytes;
-            a.write_bytes += b.write_bytes;
-            a.runs += b.runs - u64::from(continues);
-            a.next_expected = b.next_expected;
-            let skip_dup = a.windows.last() == b.windows.first();
-            a.windows
-                .extend(b.windows.iter().skip(usize::from(skip_dup)).copied());
-        }
-        if self.first_time.is_none() {
-            self.first_time = later.first_time;
-        }
-        if later.last_time.is_some() {
-            self.last_time = later.last_time;
-        }
-    }
-
-    /// Builds the fitted workload set from the accumulated statistics.
-    /// Spec construction fans over [`par`], same as the materialized
-    /// fit.
-    pub fn finish(&self, names: &[String], sizes: &[u64]) -> Result<WorkloadSet, FitError> {
-        if names.len() != sizes.len() || names.len() != self.accums.len() {
-            return Err(FitError::ShapeMismatch {
-                names: names.len(),
-                sizes: sizes.len(),
-            });
-        }
-        let span = match (self.first_time, self.last_time) {
-            (Some(f), Some(l)) => (l - f).as_secs(),
-            _ => 0.0,
-        }
-        .max(1e-9);
-        let object_ids: Vec<usize> = (0..self.accums.len()).collect();
-        let specs = par::par_map(&object_ids, |&i| build_spec(&self.accums, i, span));
-        Ok(WorkloadSet {
-            names: names.to_vec(),
-            sizes: sizes.to_vec(),
-            specs,
-        })
-    }
-}
-
 /// Streamed ingest: fits Rome workload descriptions directly from an
-/// op-log by accumulating fixed-size record chunks in parallel and
-/// merging the partial statistics in order.
-///
-/// Bit-identical to `fit_workloads(&log.to_trace(), ...)` at any
-/// `WASLA_THREADS` setting: chunk boundaries depend only on
-/// `chunk_records`, accumulation is integer-exact, and the merged
-/// state equals the serial pass (see the module docs).
+/// op-log, folding its records in fixed [`DEFAULT_CHUNK`]-record chunks
+/// without materializing the equivalent [`Trace`]. The same fold as
+/// [`crate::fit_workloads`], so the fit equals fitting
+/// [`OpLog::to_trace`] byte for byte, at any `WASLA_THREADS` setting.
 pub fn fit_oplog_streamed(
     log: &OpLog,
     names: &[String],
     sizes: &[u64],
     config: &FitConfig,
-    chunk_records: usize,
 ) -> Result<WorkloadSet, FitError> {
-    if names.len() != sizes.len() {
-        return Err(FitError::ShapeMismatch {
-            names: names.len(),
-            sizes: sizes.len(),
-        });
-    }
-    let n = names.len();
-    let chunk = chunk_records.max(1);
-    let records = log.records();
-    let ranges: Vec<(usize, usize)> = (0..records.len())
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(records.len())))
-        .collect();
-    let partials: Vec<Result<ChunkStats, FitError>> = par::par_map(&ranges, |&(start, end)| {
-        let mut stats = ChunkStats::new(n);
-        for rec in &records[start..end] {
-            stats.observe(&rec.as_block_record(), config)?;
-        }
-        Ok(stats)
-    });
-    let mut merged = ChunkStats::new(n);
-    for partial in partials {
-        merged.merge(&partial?, config);
-    }
-    merged.finish(names, sizes)
+    fit_records(log.records(), names, sizes, config)
 }
 
 /// Sliding-window configuration for control-loop ingestion: the
@@ -759,15 +605,8 @@ pub struct WindowSnapshot {
 }
 
 /// Slices an op-log into pane-aligned sliding windows and fits a
-/// [`WorkloadSet`] snapshot per tick, reusing the mergeable
-/// [`ChunkStats`] machinery: each pane is accumulated once (panes fan
-/// over [`par`]), and a tick's window is the in-order merge of its
-/// panes — identical to observing the window's records serially.
-///
-/// Determinism contract: pane boundaries depend only on record issue
-/// times and `plan.pane_s` — never on the thread count or on how the
-/// stream was chunked on arrival — so the snapshot sequence is
-/// byte-identical at any `WASLA_THREADS` setting.
+/// [`WorkloadSet`] snapshot per tick: [`windowed_records`] over the
+/// log's records.
 pub fn windowed_workloads(
     log: &OpLog,
     names: &[String],
@@ -775,13 +614,27 @@ pub fn windowed_workloads(
     config: &FitConfig,
     plan: &WindowPlan,
 ) -> Result<Vec<WindowSnapshot>, FitError> {
-    if names.len() != sizes.len() {
-        return Err(FitError::ShapeMismatch {
-            names: names.len(),
-            sizes: sizes.len(),
-        });
-    }
-    let records = log.records();
+    windowed_records(log.records(), names, sizes, config, plan)
+}
+
+/// Slices op records (in issue order) into pane-aligned sliding windows
+/// and fits a [`WorkloadSet`] snapshot per tick with the crate's
+/// [`ChunkStats`] fold: each pane is folded once (panes fan over
+/// [`par`]), and a tick's window is the in-order merge of its panes —
+/// identical to observing the window's records serially.
+///
+/// Determinism contract: pane boundaries depend only on record issue
+/// times and `plan.pane_s` — never on the thread count or on how the
+/// stream was chunked on arrival — so the snapshot sequence is
+/// byte-identical at any `WASLA_THREADS` setting.
+pub fn windowed_records(
+    records: &[OpRecord],
+    names: &[String],
+    sizes: &[u64],
+    config: &FitConfig,
+    plan: &WindowPlan,
+) -> Result<Vec<WindowSnapshot>, FitError> {
+    check_shape(names, sizes)?;
     if records.is_empty() {
         return Ok(Vec::new());
     }
@@ -802,12 +655,8 @@ pub fn windowed_workloads(
         ranges.push((start, cursor));
     }
 
-    let panes: Vec<Result<ChunkStats, FitError>> = par::par_map(&ranges, |&(start, end)| {
-        let mut stats = ChunkStats::new(n);
-        for rec in &records[start..end] {
-            stats.observe(&rec.as_block_record(), config)?;
-        }
-        Ok(stats)
+    let panes = par::par_map(&ranges, |&(start, end)| {
+        ChunkStats::of(&records[start..end], n, config)
     });
     let mut pane_stats = Vec::with_capacity(panes.len());
     for pane in panes {
@@ -838,7 +687,7 @@ pub fn windowed_workloads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit_workloads;
+    use crate::reference::reference_fit;
     use wasla_simlib::json::to_string;
 
     fn rec(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
@@ -907,19 +756,50 @@ mod tests {
         assert!(back.is_empty());
     }
 
+    /// The independent reference fit of a log's records.
+    fn reference(log: &OpLog, names: &[String], sizes: &[u64], config: &FitConfig) -> WorkloadSet {
+        let records: Vec<BlockTraceRecord> = log.records().iter().map(FitRecord::block).collect();
+        reference_fit(
+            &records,
+            names,
+            sizes,
+            config.window_s,
+            config.gap_tolerance,
+        )
+    }
+
+    /// Folds `log` in `chunk`-record ranges through
+    /// `ChunkStats::observe`/`merge`, the way the fitter does at its
+    /// fixed chunk size.
+    fn fold_at(
+        log: &OpLog,
+        chunk: usize,
+        names: &[String],
+        sizes: &[u64],
+        config: &FitConfig,
+    ) -> WorkloadSet {
+        let mut merged = ChunkStats::new(names.len());
+        for part in log.records().chunks(chunk) {
+            let mut stats = ChunkStats::new(names.len());
+            for rec in part {
+                stats.observe(&rec.block(), config).unwrap();
+            }
+            merged.merge(&stats, config);
+        }
+        merged.finish(names, sizes).unwrap()
+    }
+
     #[test]
     fn streamed_fit_matches_materialized_at_many_chunk_sizes() {
         let log = sample_log(500);
         let (names, sizes) = catalog();
         let config = FitConfig::default();
-        let materialized = fit_workloads(&log.to_trace(), &names, &sizes, &config).unwrap();
+        let expected = to_string(&reference(&log, &names, &sizes, &config));
+        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config).unwrap();
+        assert_eq!(to_string(&streamed), expected);
         for chunk in [1, 2, 3, 7, 64, 499, 500, 5000] {
-            let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
-            assert_eq!(
-                to_string(&streamed),
-                to_string(&materialized),
-                "chunk={chunk}"
-            );
+            let folded = fold_at(&log, chunk, &names, &sizes, &config);
+            assert_eq!(to_string(&folded), expected, "chunk={chunk}");
         }
     }
 
@@ -928,9 +808,9 @@ mod tests {
         let log = OpLog::new();
         let (names, sizes) = catalog();
         let config = FitConfig::default();
-        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, 16).unwrap();
-        let materialized = fit_workloads(&log.to_trace(), &names, &sizes, &config).unwrap();
-        assert_eq!(to_string(&streamed), to_string(&materialized));
+        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config).unwrap();
+        let reference = reference(&log, &names, &sizes, &config);
+        assert_eq!(to_string(&streamed), to_string(&reference));
     }
 
     #[test]
@@ -943,13 +823,11 @@ mod tests {
         }
         let (names, sizes) = catalog();
         let config = FitConfig::default();
+        let reference = reference(&log, &names, &sizes, &config);
+        assert!((reference.specs[0].run_count - 10.0).abs() < 1e-9);
         for chunk in [1, 3, 5] {
-            let set = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
-            assert!(
-                (set.specs[0].run_count - 10.0).abs() < 1e-9,
-                "chunk={chunk} run_count={}",
-                set.specs[0].run_count
-            );
+            let set = fold_at(&log, chunk, &names, &sizes, &config);
+            assert_eq!(to_string(&set), to_string(&reference), "chunk={chunk}");
         }
     }
 
@@ -979,10 +857,16 @@ mod tests {
 
     #[test]
     fn streamed_fit_reports_stream_out_of_range() {
-        let mut log = sample_log(10);
-        log.push(rec(1.0, 99, IoKind::Read, 0, 8192));
+        // Bad stream ids in two different fold chunks: the first one in
+        // record order is the error, whichever chunk finishes first.
+        let mut log = sample_log(DEFAULT_CHUNK as u64 + 5);
+        log.push(rec(1e6, 99, IoKind::Read, 0, 8192));
+        for k in 0..DEFAULT_CHUNK as u64 {
+            log.push(rec(1e6 + k as f64, (k % 3) as u32, IoKind::Read, 0, 8192));
+        }
+        log.push(rec(2e6, 77, IoKind::Read, 0, 8192));
         let (names, sizes) = catalog();
-        let err = fit_oplog_streamed(&log, &names, &sizes, &FitConfig::default(), 4).unwrap_err();
+        let err = fit_oplog_streamed(&log, &names, &sizes, &FitConfig::default()).unwrap_err();
         assert_eq!(
             err,
             FitError::StreamOutOfRange {
@@ -1119,17 +1003,15 @@ mod tests {
         let snapshots = windowed_workloads(&log, &names, &sizes, &config, &plan).unwrap();
         assert!(!snapshots.is_empty());
         for snap in &snapshots {
-            // Reference: observe exactly the window's records serially.
-            let mut direct = ChunkStats::new(names.len());
-            let mut count = 0u64;
+            // Reference: fit exactly the window's records, serially.
+            let mut window = OpLog::new();
             for rec in log.records() {
                 if rec.issue >= snap.start && rec.issue < snap.end {
-                    direct.observe(&rec.as_block_record(), &config).unwrap();
-                    count += 1;
+                    window.push(*rec);
                 }
             }
-            assert_eq!(snap.records, count, "tick {}", snap.tick);
-            let expected = direct.finish(&names, &sizes).unwrap();
+            assert_eq!(snap.records, window.len() as u64, "tick {}", snap.tick);
+            let expected = reference(&window, &names, &sizes, &config);
             assert_eq!(
                 to_string(&snap.workloads),
                 to_string(&expected),

@@ -6,7 +6,9 @@ use wasla_simlib::proptest::prelude::*;
 use wasla_simlib::{json, SimTime};
 use wasla_storage::{BlockTraceRecord, IoKind, Trace};
 use wasla_trace::oplog::{fit_oplog_streamed, OpLog, OpLogError, OpRecord, FORMAT_HEADER};
-use wasla_trace::{fit_workloads, FitConfig};
+use wasla_trace::{fit_workloads, ChunkStats, FitConfig, FitRecord};
+
+mod reference;
 
 proptest! {
     /// Rates and sizes are recovered exactly for a single uniform
@@ -258,8 +260,9 @@ proptest! {
         }
     }
 
-    /// The streamed fit is bit-identical to materialize-then-fit at
-    /// *any* chunk size, not just the default.
+    /// The streamed fit is bit-identical to the independent reference
+    /// fitter, and so is a `ChunkStats` fold cut at *any* chunk size,
+    /// not just the default.
     #[test]
     fn streamed_fit_matches_materialized_at_any_chunk(
         n in 1u64..200,
@@ -270,8 +273,24 @@ proptest! {
         let names: Vec<String> = (0..LOG_OBJECTS).map(|k| format!("o{k}")).collect();
         let sizes = vec![1u64 << 30; LOG_OBJECTS as usize];
         let config = FitConfig::default();
-        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
-        let materialized = fit_workloads(&log.to_trace(), &names, &sizes, &config).unwrap();
-        prop_assert_eq!(json::to_string(&streamed), json::to_string(&materialized));
+        let records: Vec<BlockTraceRecord> = log.records().iter().map(FitRecord::block).collect();
+        let expected = json::to_string(&reference::reference_fit(
+            &records,
+            &names,
+            &sizes,
+            config.window_s,
+            config.gap_tolerance,
+        ));
+        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config).unwrap();
+        prop_assert_eq!(json::to_string(&streamed), expected.clone());
+        let mut merged = ChunkStats::new(names.len());
+        for part in records.chunks(chunk) {
+            let mut stats = ChunkStats::new(names.len());
+            for rec in part {
+                stats.observe(rec, &config).unwrap();
+            }
+            merged.merge(&stats, &config);
+        }
+        prop_assert_eq!(json::to_string(&merged.finish(&names, &sizes).unwrap()), expected);
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! wasla-advisor calibrate --device scsi15k --capacity-gb 18.4 --out disk.model.json
 //! wasla-advisor fit --trace trace.json --objects objects.json [--out workloads.json]
-//! wasla-advisor fit --oplog oplog.tsv --objects objects.json [--materialized]
+//! wasla-advisor fit --oplog oplog.tsv --objects objects.json [--out workloads.json]
 //! wasla-advisor advise --workloads w.json --targets t.json [--models m.json,...]
 //!                      [--objective minmax|provision-cost|wear-blend]
 //!                      [--tier-spec tiers.json]
@@ -25,6 +25,10 @@
 //! * `calibrate` builds a tabulated cost model for a device type and
 //!   writes it as JSON (models calibrated against real hardware can be
 //!   substituted — the advisor only sees the table).
+//! * `fit` fits the per-object workload descriptions from a trace JSON
+//!   or a captured op-log (`--oplog`, folded straight from its records
+//!   without building the equivalent trace); both run the same fitter,
+//!   so the output is byte-identical at any `WASLA_THREADS`.
 //! * `advise` consumes a `WorkloadSet` JSON (per-object names, sizes,
 //!   and Rome-style descriptions — produce one with `wasla-trace` or
 //!   the analytic estimator) plus a target list, and prints the
@@ -85,7 +89,7 @@ const USAGE: &str = "usage:
   wasla-advisor calibrate --device <scsi15k|scsi10k|nearline7200|ssd|ssd2> \
 --capacity-gb <G> [--out FILE]
   wasla-advisor fit --trace FILE --objects FILE [--window-s S] [--out FILE]
-  wasla-advisor fit --oplog FILE --objects FILE [--materialized] [--window-s S] [--out FILE]
+  wasla-advisor fit --oplog FILE --objects FILE [--window-s S] [--out FILE]
   wasla-advisor advise --workloads FILE --targets FILE [--models FILE,...] \
 [--objective minmax|provision-cost|wear-blend] [--tier-spec FILE] \
 [--regular] [--pin OBJ=T]... [--forbid OBJ=T]... [--out FILE]
@@ -208,7 +212,7 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
     check_flags(
         args,
         &["--trace", "--oplog", "--objects", "--window-s", "--out"],
-        &["--materialized"],
+        &[],
     )?;
     let objects_path = require_flag(args, "--objects")?;
     let objects: Vec<ObjectEntry> =
@@ -227,19 +231,7 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
         }
         (None, Some(oplog_path)) => {
             let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(oplog_path)?)?;
-            // The streamed path is the default; --materialized is the
-            // cross-check (both produce bit-identical fits).
-            let set = if has_flag(args, "--materialized") {
-                wasla::trace::fit_workloads(&log.to_trace(), &names, &sizes, &fit_config)?
-            } else {
-                wasla::trace::oplog::fit_oplog_streamed(
-                    &log,
-                    &names,
-                    &sizes,
-                    &fit_config,
-                    wasla::trace::oplog::DEFAULT_CHUNK,
-                )?
-            };
+            let set = wasla::trace::oplog::fit_oplog_streamed(&log, &names, &sizes, &fit_config)?;
             (set, log.len())
         }
         _ => {
@@ -672,14 +664,16 @@ fn demo(args: &[String]) -> Result<(), WaslaError> {
             for note in &notes {
                 eprintln!("cache: {note}");
             }
+            let request = wasla::AdviseRequest {
+                scenario: scenario.clone(),
+                workloads: workloads.to_vec(),
+                config: config.clone(),
+                seed: Some(AdvisorOptions::default().seed),
+                deadline: None,
+            };
             let outcome = service
-                .advise_batch(&[wasla::AdviseRequest {
-                    scenario: scenario.clone(),
-                    workloads: workloads.to_vec(),
-                    config: config.clone(),
-                    seed: Some(AdvisorOptions::default().seed),
-                    deadline: None,
-                }])
+                .advise_batch_with(&[request], &wasla::BatchPolicy::default())
+                .outcomes
                 .pop()
                 .ok_or_else(|| {
                     WaslaError::Internal("one request in, one outcome out".to_string())

@@ -5,7 +5,7 @@
 //! simulated clock ([`wasla_simlib::time::SimTime`]): an op-log
 //! stream is sliced into
 //! pane-aligned sliding windows
-//! ([`windowed_workloads`](wasla_trace::oplog::windowed_workloads)),
+//! ([`windowed_records`](wasla_trace::oplog::windowed_records)),
 //! and every tick runs
 //!
 //! ```text
@@ -54,7 +54,7 @@ use wasla_core::Layout;
 use wasla_model::{calibration_fault, TargetCostModel};
 use wasla_simlib::json::to_string_pretty;
 use wasla_simlib::{fault, impl_json_struct, par};
-use wasla_trace::oplog::{windowed_workloads, OpLog, WindowPlan};
+use wasla_trace::oplog::{windowed_records, OpLog, WindowPlan};
 
 /// A target failure injected into the control loop's timeline: from
 /// `tick` onward the target is treated as dead — zero capacity,
@@ -240,28 +240,6 @@ impl DaemonReport {
     }
 }
 
-/// The fault plan's trace-corruption roll applied at the log level:
-/// the damaged tail is dropped and the valid prefix drives the loop,
-/// mirroring the salvage path of one-shot ingestion.
-fn salvage_log(log: &OpLog, degraded: &mut Vec<DegradedNote>) -> OpLog {
-    let tf = fault::plan().and_then(|p| p.trace_fault(log.trace_content_hash()));
-    match tf {
-        Some(tf) => {
-            let keep = ((log.len() as f64) * tf.keep_fraction) as usize;
-            degraded.push(DegradedNote::TraceSalvaged {
-                kept: keep,
-                dropped: log.len() - keep,
-            });
-            let mut pruned = OpLog::new();
-            for rec in &log.records()[..keep.min(log.len())] {
-                pruned.push(*rec);
-            }
-            pruned
-        }
-        None => log.clone(),
-    }
-}
-
 impl Service {
     /// Runs the online re-layout control loop over an op-log stream.
     ///
@@ -289,8 +267,19 @@ impl Service {
         let m = scenario.targets.len();
         let mut degraded: Vec<DegradedNote> = Vec::new();
 
-        let working = salvage_log(log, &mut degraded);
-        let snapshots = windowed_workloads(&working, &names, &sizes, &config.fit, &daemon.window)?;
+        // A trace fault tears the log's tail exactly like one-shot
+        // ingestion's: the kept prefix drives the loop.
+        let mut records = log.records();
+        if let Some(keep) =
+            fault::plan().and_then(|p| p.trace_keep(log.trace_content_hash(), log.len()))
+        {
+            degraded.push(DegradedNote::TraceSalvaged {
+                kept: keep,
+                dropped: log.len() - keep,
+            });
+            records = &records[..keep];
+        }
+        let snapshots = windowed_records(records, &names, &sizes, &config.fit, &daemon.window)?;
 
         let models =
             self.session_mut()

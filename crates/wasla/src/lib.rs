@@ -42,14 +42,14 @@
 //!
 //! Advising repeatedly — capacity planning sweeps, what-if batches —
 //! recalibrates the same device types again and again. Hold a
-//! [`session::Service`] instead: its [`advise_batch`]
-//! (`session::Service::advise_batch`) loop memoizes calibration
+//! [`session::Service`] instead: its
+//! [`advise_batch_with`](session::Service::advise_batch_with) loop memoizes calibration
 //! tables and workload fits across requests and fans the batch over
 //! the deterministic thread pool.
 //!
 //! ```
 //! use wasla::pipeline::{AdviseConfig, Scenario};
-//! use wasla::session::{AdviseRequest, Service};
+//! use wasla::session::{AdviseRequest, BatchPolicy, Service};
 //! use wasla::workload::SqlWorkload;
 //!
 //! let mut service = Service::new(0x5eed);
@@ -61,8 +61,8 @@
 //!         AdviseConfig::fast(),
 //!     ))
 //!     .collect();
-//! let outcomes = service.advise_batch(&requests);
-//! assert!(outcomes.iter().all(|o| o.is_ok()));
+//! let report = service.advise_batch_with(&requests, &BatchPolicy::default());
+//! assert!(report.outcomes.iter().all(|o| o.is_ok()));
 //! // Four identical disks × two requests: calibrated exactly once.
 //! assert_eq!(service.session().calibrations_cached(), 1);
 //! ```

@@ -27,8 +27,8 @@ use crate::error::WaslaError;
 use crate::persist;
 use crate::pipeline::{assemble_problem, AdviseConfig, AdviseOutcome, DegradedNote, Scenario};
 use crate::stages::{
-    CalibrateInput, CalibrateStage, FitInput, FitStage, RegularizeInput, RegularizeStage,
-    SolveStage, TraceInput, TraceStage,
+    CalibrateInput, CalibrateStage, FitStage, RegularizeInput, RegularizeStage, SolveStage,
+    TraceInput, TraceStage,
 };
 use std::path::PathBuf;
 use wasla_core::{
@@ -39,8 +39,8 @@ use wasla_model::{calibration_fault, CalibrationGrid, TableModel, TargetCostMode
 use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::par;
 use wasla_storage::{TargetConfig, Trace};
-use wasla_trace::oplog::{fit_oplog_streamed, OpLog, DEFAULT_CHUNK};
-use wasla_trace::{fit_workloads_lossy, FitConfig, SalvageReport};
+use wasla_trace::oplog::OpLog;
+use wasla_trace::{fit_records, FitConfig, FitError, FitRecord, SalvageReport};
 use wasla_workload::{DeadlineClass, SqlWorkload, WorkloadSet};
 
 /// Hit/miss counters for a session's stage caches.
@@ -148,109 +148,77 @@ impl AdvisorSession {
         objective: ObjectiveKind,
     ) -> Result<WorkloadSet, WaslaError> {
         let stage = FitStage { config, objective };
-        let input = FitInput {
-            trace,
-            names,
-            sizes,
-        };
-        let key = stage
-            .cache_key(&input)
-            .ok_or_else(|| WaslaError::Internal("fit stage must be cacheable".to_string()))?;
+        self.fit_keyed(&stage, trace.content_hash(), trace.records(), names, sizes)
+    }
+
+    /// The keyed fit behind every ingest path: the cache entry for
+    /// `hash` (a clean or damaged trace content hash), or a fresh fit
+    /// of `records` stored under it.
+    fn fit_keyed<R: FitRecord>(
+        &mut self,
+        stage: &FitStage,
+        hash: u64,
+        records: &[R],
+        names: &[String],
+        sizes: &[u64],
+    ) -> Result<WorkloadSet, WaslaError> {
+        let key = stage.key_for_hash(hash, names, sizes);
         if let Some(cached) = self.fits.get(key) {
             return Ok(cached.clone());
         }
-        let fitted = stage.run(&input)?;
+        let fitted = fit_records(records, names, sizes, stage.config)?;
         self.fits.insert(key, fitted.clone());
         Ok(fitted)
     }
 
-    /// Like [`fit`](AdvisorSession::fit), but for a trace whose tail
-    /// the active fault plan damages: records past the keep point get
-    /// an out-of-range stream id (a torn tail), and the fitter salvages
-    /// the valid prefix. The damaged trace is cached under its *own*
-    /// content identity, so warm and cold sessions agree byte-for-byte
-    /// under the same fault plan.
-    fn fit_salvaged(
+    /// The salvage rule shared by the trace and op-log paths. Without a
+    /// trace fault, `records` is fitted whole under `hash`. Under one,
+    /// the stream is cut at the damage point
+    /// ([`FaultPlan::trace_keep`](fault::FaultPlan::trace_keep)) and
+    /// the kept prefix is fitted — as strictly as a clean stream —
+    /// under `damaged_hash(keep)`, so warm and cold sessions agree byte
+    /// for byte and a salvage cached from either representation serves
+    /// both. A cut that keeps nothing of a non-empty stream leaves no
+    /// signal to salvage, so the torn first record's
+    /// `StreamOutOfRange` propagates. The report is `Some` when records
+    /// were dropped.
+    fn fit_ingest<R: FitRecord>(
         &mut self,
-        trace: &Trace,
+        stage: &FitStage,
+        records: &[R],
+        hash: u64,
+        damaged_hash: impl FnOnce(usize) -> u64,
         names: &[String],
         sizes: &[u64],
-        config: &FitConfig,
-        objective: ObjectiveKind,
-        keep_fraction: f64,
-    ) -> Result<(WorkloadSet, SalvageReport), WaslaError> {
-        let keep = ((trace.len() as f64) * keep_fraction) as usize;
-        self.fit_salvaged_keyed(
-            trace.content_hash_damaged(keep),
-            trace.len(),
-            keep,
-            names,
-            sizes,
-            config,
-            objective,
-            || {
-                let mut damaged = Trace::new();
-                for (i, rec) in trace.records().iter().enumerate() {
-                    let mut rec = *rec;
-                    if i >= keep {
-                        rec.stream = u32::MAX;
-                    }
-                    damaged.push(rec);
-                }
-                damaged
-            },
-        )
-    }
-
-    /// Salvage keyed by the damaged trace's content hash. A cache hit
-    /// answers without rebuilding the damaged records at all (the hash
-    /// is computed in place over the clean source); only a miss pays
-    /// for `build_damaged` and the lossy fit. Both the trace path and
-    /// the op-log path route through here, so a salvage cached from
-    /// either representation serves the other — and warm ≡ cold holds
-    /// for replayed logs under the same fault plan.
-    #[allow(clippy::too_many_arguments)]
-    fn fit_salvaged_keyed(
-        &mut self,
-        damaged_hash: u64,
-        total: usize,
-        keep: usize,
-        names: &[String],
-        sizes: &[u64],
-        config: &FitConfig,
-        objective: ObjectiveKind,
-        build_damaged: impl FnOnce() -> Trace,
-    ) -> Result<(WorkloadSet, SalvageReport), WaslaError> {
-        let stage = FitStage { config, objective };
-        let key = stage.key_for_hash(damaged_hash, names, sizes);
-        if let Some(cached) = self.fits.get(key) {
-            // The engine-produced prefix is entirely valid, so the
-            // salvage boundary is exactly the damage point.
-            return Ok((
-                cached.clone(),
-                SalvageReport {
-                    kept: keep,
-                    dropped: total - keep,
-                },
-            ));
+    ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
+        let Some(keep) = fault::plan().and_then(|p| p.trace_keep(hash, records.len())) else {
+            return Ok((self.fit_keyed(stage, hash, records, names, sizes)?, None));
+        };
+        if keep == 0 && !records.is_empty() {
+            return Err(FitError::StreamOutOfRange {
+                stream: u32::MAX,
+                objects: names.len(),
+            }
+            .into());
         }
-        let damaged = build_damaged();
-        let (fitted, salvage) = fit_workloads_lossy(&damaged, names, sizes, config)?;
-        self.fits.insert(key, fitted.clone());
-        Ok((fitted, salvage))
+        let fitted = self.fit_keyed(stage, damaged_hash(keep), &records[..keep], names, sizes)?;
+        let salvage = SalvageReport {
+            kept: keep,
+            dropped: records.len() - keep,
+        };
+        Ok((fitted, salvage.degraded().then_some(salvage)))
     }
 
-    /// Fitted workload descriptions from a captured op-log, streamed
-    /// through the chunked reader without ever materializing the
-    /// equivalent [`Trace`] on the clean path. The result is cached
-    /// under [`OpLog::trace_content_hash`] — the same key the
-    /// materialized path uses — so a fit computed from a trace run
-    /// serves a later op-log ingest of the same I/O and vice versa.
+    /// Fitted workload descriptions from a captured op-log, folded
+    /// straight from its records without materializing the equivalent
+    /// [`Trace`]. The result is cached under
+    /// [`OpLog::trace_content_hash`] — the same key the trace path
+    /// uses — so a fit computed from a trace run serves a later op-log
+    /// ingest of the same I/O and vice versa.
     ///
     /// Under an active trace fault the log's tail is salvaged exactly
     /// like [`advise`](AdvisorSession::advise) salvages a damaged live
-    /// trace, keyed by the damaged content hash; the returned report is
-    /// `Some` when records were dropped.
+    /// trace; the returned report is `Some` when records were dropped.
     pub fn ingest_oplog(
         &mut self,
         log: &OpLog,
@@ -259,62 +227,27 @@ impl AdvisorSession {
         config: &FitConfig,
         objective: ObjectiveKind,
     ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
-        let trace_fault = fault::plan().and_then(|p| p.trace_fault(log.trace_content_hash()));
-        if let Some(tf) = trace_fault {
-            let keep = ((log.len() as f64) * tf.keep_fraction) as usize;
-            let (fitted, salvage) = self.fit_salvaged_keyed(
-                log.trace_content_hash_damaged(keep),
-                log.len(),
-                keep,
-                names,
-                sizes,
-                config,
-                objective,
-                || {
-                    let mut damaged = Trace::new();
-                    for (i, rec) in log.records().iter().enumerate() {
-                        let mut rec = rec.as_block_record();
-                        if i >= keep {
-                            rec.stream = u32::MAX;
-                        }
-                        damaged.push(rec);
-                    }
-                    damaged
-                },
-            )?;
-            let dropped = salvage.degraded();
-            return Ok((fitted, dropped.then_some(salvage)));
-        }
-        let stage = FitStage { config, objective };
-        let key = stage.key_for_hash(log.trace_content_hash(), names, sizes);
-        if let Some(cached) = self.fits.get(key) {
-            return Ok((cached.clone(), None));
-        }
-        let fitted = fit_oplog_streamed(log, names, sizes, config, DEFAULT_CHUNK)?;
-        self.fits.insert(key, fitted.clone());
-        Ok((fitted, None))
+        self.fit_ingest(
+            &FitStage { config, objective },
+            log.records(),
+            log.trace_content_hash(),
+            |keep| log.trace_content_hash_damaged(keep),
+            names,
+            sizes,
+        )
     }
 
-    /// The advise pipeline fed from a captured op-log instead of a
-    /// fresh trace-collection run: streamed ingest → calibrate →
-    /// solve → regularize. No simulation runs; the log stands in for
-    /// the operational system's observed I/O.
-    pub fn advise_from_oplog(
+    /// The tail both advise paths share once the workloads are fitted:
+    /// note a salvage, calibrate (noting degraded calibrations),
+    /// assemble the problem, solve and regularize.
+    fn advise_fitted(
         &mut self,
-        log: &OpLog,
         scenario: &Scenario,
+        fitted: &WorkloadSet,
+        salvage: Option<SalvageReport>,
         config: &AdviseConfig,
-    ) -> Result<OpLogAdvice, WaslaError> {
-        let mut degraded: Vec<DegradedNote> = Vec::new();
-        let names = scenario.catalog.names();
-        let sizes = scenario.catalog.sizes();
-        let (fitted, salvage) = self.ingest_oplog(
-            log,
-            &names,
-            &sizes,
-            &config.fit,
-            config.advisor.solver.objective,
-        )?;
+        degraded: &mut Vec<DegradedNote>,
+    ) -> Result<(LayoutProblem, Recommendation), WaslaError> {
         if let Some(s) = salvage {
             degraded.push(DegradedNote::TraceSalvaged {
                 kept: s.kept,
@@ -322,6 +255,9 @@ impl AdvisorSession {
             });
         }
         let models = self.models_for(&scenario.targets, &config.grid, scenario.seed)?;
+        // Calibration faults are applied inside `calibrate_device`;
+        // re-query the plan here to note which targets got a degraded
+        // model (the cached table carries the degradation with it).
         for target in &scenario.targets {
             let spec = TargetCostModel::member_spec(target)?;
             if let Some(f) = calibration_fault(spec, scenario.seed) {
@@ -349,6 +285,29 @@ impl AdvisorSession {
                 quality: recommendation.quality,
             });
         }
+        Ok((problem, recommendation))
+    }
+
+    /// The advise pipeline fed from a captured op-log instead of a
+    /// fresh trace-collection run: streamed ingest → calibrate →
+    /// solve → regularize. No simulation runs; the log stands in for
+    /// the operational system's observed I/O.
+    pub fn advise_from_oplog(
+        &mut self,
+        log: &OpLog,
+        scenario: &Scenario,
+        config: &AdviseConfig,
+    ) -> Result<OpLogAdvice, WaslaError> {
+        let (fitted, salvage) = self.ingest_oplog(
+            log,
+            &scenario.catalog.names(),
+            &scenario.catalog.sizes(),
+            &config.fit,
+            config.advisor.solver.objective,
+        )?;
+        let mut degraded = Vec::new();
+        let (problem, recommendation) =
+            self.advise_fitted(scenario, &fitted, salvage, config, &mut degraded)?;
         Ok(OpLogAdvice {
             fitted,
             problem,
@@ -388,65 +347,19 @@ impl AdvisorSession {
         let trace = baseline_run.trace.as_ref().ok_or_else(|| {
             WaslaError::Internal("trace stage returned a report without a trace".to_string())
         })?;
-
-        let names = scenario.catalog.names();
-        let sizes = scenario.catalog.sizes();
-        let trace_fault = fault::plan().and_then(|p| p.trace_fault(trace.content_hash()));
-        let objective = config.advisor.solver.objective;
-        let fitted = match trace_fault {
-            Some(tf) => {
-                let (fitted, salvage) = self.fit_salvaged(
-                    trace,
-                    &names,
-                    &sizes,
-                    &config.fit,
-                    objective,
-                    tf.keep_fraction,
-                )?;
-                if salvage.degraded() {
-                    degraded.push(DegradedNote::TraceSalvaged {
-                        kept: salvage.kept,
-                        dropped: salvage.dropped,
-                    });
-                }
-                fitted
-            }
-            None => self.fit(trace, &names, &sizes, &config.fit, objective)?,
-        };
-
-        let models = self.models_for(&scenario.targets, &config.grid, scenario.seed)?;
-        // Calibration faults are applied inside `calibrate_device`;
-        // re-query the plan here to note which targets got a degraded
-        // model (the cached table carries the degradation with it).
-        for target in &scenario.targets {
-            let spec = TargetCostModel::member_spec(target)?;
-            if let Some(f) = calibration_fault(spec, scenario.seed) {
-                degraded.push(DegradedNote::CalibrationDegraded {
-                    device: target.name.clone(),
-                    factor: f.latency_factor(),
-                });
-            }
-        }
-        let problem =
-            assemble_problem(scenario, fitted.clone(), models, config.constraints.clone());
-
-        let solve = SolveStage {
-            options: &config.advisor,
-        };
-        let solved = solve.run(&problem)?;
-        let finish = RegularizeStage {
-            options: &config.advisor,
-        };
-        let recommendation = finish.run(&RegularizeInput {
-            problem: &problem,
-            solved,
-        })?;
-        if recommendation.quality.degraded() {
-            degraded.push(DegradedNote::SolverDegraded {
-                quality: recommendation.quality,
-            });
-        }
-
+        let (fitted, salvage) = self.fit_ingest(
+            &FitStage {
+                config: &config.fit,
+                objective: config.advisor.solver.objective,
+            },
+            trace.records(),
+            trace.content_hash(),
+            |keep| trace.content_hash_damaged(keep),
+            &scenario.catalog.names(),
+            &scenario.catalog.sizes(),
+        )?;
+        let (problem, recommendation) =
+            self.advise_fitted(scenario, &fitted, salvage, config, &mut degraded)?;
         Ok(AdviseOutcome {
             baseline_run,
             fitted,
@@ -487,7 +400,7 @@ pub struct OpLogAdvice {
     pub degraded: Vec<DegradedNote>,
 }
 
-/// One request in a [`Service::advise_batch`] call.
+/// One request in a [`Service::advise_batch_with`] call.
 #[derive(Clone)]
 pub struct AdviseRequest {
     /// The scenario to advise.
@@ -530,7 +443,7 @@ impl AdviseRequest {
 /// Admission, deadline, and retry policy for one
 /// [`Service::advise_batch_with`] call.
 ///
-/// The default policy reproduces the historical `advise_batch`
+/// The default policy reproduces the historical single-entry batch
 /// behavior byte-for-byte: unbounded admission, no brownout, and the
 /// original retry budget of two attempts (one retry), deterministic by
 /// request index.
@@ -796,7 +709,7 @@ impl Service {
 
     /// Mutable access to the shared session, for direct stage work —
     /// op-log ingestion and replay advising run against the same
-    /// caches [`advise_batch`](Service::advise_batch) warms and
+    /// caches [`advise_batch_with`](Service::advise_batch_with) warms and
     /// [`persist`](Service::persist) saves.
     pub fn session_mut(&mut self) -> &mut AdvisorSession {
         &mut self.session
@@ -809,8 +722,9 @@ impl Service {
         self.cache_dir.as_deref()
     }
 
-    /// Advises every request under the default [`BatchPolicy`],
-    /// fanning across the [`par`] pool.
+    /// Advises every request under an admission/deadline/retry
+    /// policy, fanning across the [`par`] pool, and returns the
+    /// decision log alongside the outcomes.
     ///
     /// Distinct member calibrations are prewarmed serially first (each
     /// is internally parallel); the fan-out then runs against
@@ -819,17 +733,6 @@ impl Service {
     /// Results are bit-identical at any `WASLA_THREADS` setting, and a
     /// warm service returns byte-identical recommendations to a cold
     /// one (only wall-clock timings differ).
-    pub fn advise_batch(
-        &mut self,
-        requests: &[AdviseRequest],
-    ) -> Vec<Result<AdviseOutcome, WaslaError>> {
-        self.advise_batch_with(requests, &BatchPolicy::default())
-            .outcomes
-    }
-
-    /// [`advise_batch`](Service::advise_batch) under an explicit
-    /// admission/deadline/retry policy, returning the decision log
-    /// alongside the outcomes.
     ///
     /// Every request resolves to exactly one of: an [`AdviseOutcome`]
     /// (possibly with typed [`DegradedNote`]s), or a typed

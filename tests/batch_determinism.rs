@@ -1,4 +1,4 @@
-//! Batch-service determinism: `Service::advise_batch` produces
+//! Batch-service determinism: `Service::advise_batch_with` produces
 //! byte-identical reports at any `WASLA_THREADS` setting, and a warm
 //! service (caches populated by a previous batch) matches a cold one.
 //!
@@ -8,7 +8,7 @@
 //! request *index*, not from scheduling order. Wall-clock timings are
 //! excluded on purpose.
 //!
-//! The same contract extends to `advise_batch_with` under an explicit
+//! The same contract extends to an explicit non-default
 //! `BatchPolicy`: admission rejections, brownout sheds, and deadline
 //! budgets land on the same slots at any thread count, warm or cold,
 //! including through a persist/reopen cycle.
@@ -64,13 +64,21 @@ fn report(outcomes: &[Result<AdviseOutcome, WaslaError>]) -> String {
 fn cold_and_warm_at(threads: usize) -> (String, String) {
     std::env::set_var("WASLA_THREADS", threads.to_string());
     let mut service = Service::new(0xBA7C4);
-    let cold = report(&service.advise_batch(&requests()));
+    let cold = report(
+        &service
+            .advise_batch_with(&requests(), &BatchPolicy::default())
+            .outcomes,
+    );
     assert!(
         service.session().calibrations_cached() >= 1,
         "batch should have populated the calibration cache"
     );
     let misses_after_cold = service.session().stats().calibration.misses;
-    let warm = report(&service.advise_batch(&requests()));
+    let warm = report(
+        &service
+            .advise_batch_with(&requests(), &BatchPolicy::default())
+            .outcomes,
+    );
     assert_eq!(
         service.session().stats().calibration.misses,
         misses_after_cold,

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use wasla::core::ObjectiveKind;
 use wasla::persist;
 use wasla::pipeline::{AdviseConfig, Scenario};
-use wasla::session::{AdviseRequest, Service};
+use wasla::session::{AdviseRequest, BatchPolicy, Service};
 use wasla::simlib::fault::{self, FaultPlan};
 use wasla::simlib::{json, SimTime};
 use wasla::storage::IoKind;
@@ -37,7 +37,8 @@ fn requests() -> Vec<AdviseRequest> {
 /// Layouts from a batch run, unwrapped (no faults are active here).
 fn layouts(service: &mut Service) -> Vec<(Vec<Vec<f64>>, Vec<Vec<f64>>)> {
     service
-        .advise_batch(&requests())
+        .advise_batch_with(&requests(), &BatchPolicy::default())
+        .outcomes
         .into_iter()
         .map(|outcome| {
             let outcome = outcome.expect("advise succeeds");

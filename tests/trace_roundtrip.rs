@@ -1,13 +1,38 @@
 //! Trace-fitting round trips: workloads with known parameters, pushed
 //! through the simulator and the Rubicon-style fitter, must come back
-//! with approximately those parameters.
+//! with approximately those parameters — and byte for byte what the
+//! independent reference fitter (a serial per-object test oracle)
+//! derives from the same records.
 
 use wasla::exec::{see_rows, Engine, Placement, RunConfig};
-use wasla::pipeline::{Scenario, LVM_STRIPE};
-use wasla::simlib::SimTime;
+use wasla::pipeline::{RunSettings, Scenario, LVM_STRIPE};
+use wasla::replay::capture_oplog;
+use wasla::simlib::{json, SimTime};
 use wasla::storage::{BlockTraceRecord, IoKind, Trace};
-use wasla::trace::{fit_workloads, FitConfig};
-use wasla::workload::SqlWorkload;
+use wasla::trace::oplog::{fit_oplog_streamed, OpLog};
+use wasla::trace::{fit_workloads, FitConfig, FitRecord};
+use wasla::workload::{SqlWorkload, WorkloadSet};
+
+#[path = "../crates/trace/tests/reference/mod.rs"]
+mod reference;
+
+/// Byte-compares a default-config production fit of `records` with
+/// the reference oracle's.
+fn assert_matches_reference(set: &WorkloadSet, records: &[BlockTraceRecord]) {
+    let config = FitConfig::default();
+    let reference = reference::reference_fit(
+        records,
+        &set.names,
+        &set.sizes,
+        config.window_s,
+        config.gap_tolerance,
+    );
+    assert_eq!(
+        json::to_string(set),
+        json::to_string(&reference),
+        "production fit diverges from the reference oracle"
+    );
+}
 
 /// Synthetic trace with exactly known parameters.
 #[test]
@@ -44,6 +69,7 @@ fn synthetic_parameters_recovered() {
     let sizes = vec![2u64 << 30, 2 << 30];
     let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).expect("fit succeeds");
     set.validate().unwrap();
+    assert_matches_reference(&set, trace.records());
 
     let seq = &set.specs[0];
     assert!((seq.read_rate - 20.0).abs() < 0.5, "rate {}", seq.read_rate);
@@ -113,6 +139,7 @@ fn engine_trace_accounts_for_all_physical_requests() {
         &FitConfig::default(),
     )
     .expect("fit succeeds");
+    assert_matches_reference(&fitted, trace.records());
     let span = trace.span().as_secs();
     for (i, spec) in fitted.specs.iter().enumerate() {
         let fitted_count = (spec.read_rate + spec.write_rate) * span;
@@ -178,4 +205,27 @@ fn concurrency_changes_fitted_parameters() {
         w1.specs[li].run_count
     );
     assert!(w8.specs[li].overlaps[or] >= w1.specs[li].overlaps[or] * 0.9);
+}
+
+/// The op-log fit the CLI runs (`wasla-advisor capture --scenario tpch
+/// --scale 0.01`, then `fit --oplog`) equals the reference oracle byte
+/// for byte on the same captured log. `ci/check.sh` runs this by name
+/// next to its CLI byte-compare across pool widths.
+#[test]
+fn captured_tpch_log_fit_matches_reference_oracle() {
+    let scenario = Scenario::homogeneous_disks(4, 0.01);
+    let captured = capture_oplog(
+        &scenario,
+        &[SqlWorkload::olap1_21(3)],
+        &RunSettings::default(),
+    )
+    .expect("capture succeeds");
+    let log = OpLog::parse_tsv(&captured.log.to_tsv()).expect("the captured log parses");
+    assert!(log.len() > 1000, "a realistic log: {} records", log.len());
+    let names = scenario.catalog.names();
+    let sizes = scenario.catalog.sizes();
+    let fitted =
+        fit_oplog_streamed(&log, &names, &sizes, &FitConfig::default()).expect("fit succeeds");
+    let records: Vec<BlockTraceRecord> = log.records().iter().map(FitRecord::block).collect();
+    assert_matches_reference(&fitted, &records);
 }
