@@ -14,12 +14,14 @@
 //! `ci/bench_diff.sh` gates `gradient_analytic` at ≥ 5× faster than
 //! `gradient_analytic_scratch` on the gradient-heavy N=128, M=16
 //! point. The `gradient_solve` group times complete `solve_nlp` runs,
-//! gated against their committed baseline.
+//! and `regularize` the production regularizer from a solved layout;
+//! both are gated against their committed baselines.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use wasla::core::{
-    initial_layout, solve_nlp, EvalEngine, LayoutProblem, ScratchEval, SolverOptions,
+    initial_layout, regularize_with, solve_nlp, EvalEngine, LayoutProblem, ObjectiveKind,
+    ScratchEval, SolverOptions,
 };
 use wasla::model::{CostGrad, CostModel};
 use wasla::storage::IoKind;
@@ -197,4 +199,28 @@ fn bench_solve_paths(c: &mut Harness) {
     group.finish();
 }
 
-wasla_bench::bench_main!("gradient", bench_gradient_sweep, bench_solve_paths);
+/// The production regularizer (`regularize_with`, paper §4.3) on the
+/// mid-size sweep problem, starting from that problem's default solver
+/// layout: every candidate row is an engine row probe, every winner a
+/// row commit. `ci/bench_diff.sh` gates it against its committed
+/// baseline.
+fn bench_regularize(c: &mut Harness) {
+    let mut group = c.benchmark_group("regularize");
+    let (n, m) = (128usize, 16usize);
+    let problem = sweep_problem(n, m);
+    let init = initial_layout(&problem).expect("sweep problem has ample capacity");
+    let solved = solve_nlp(&problem, &init, &SolverOptions::default()).layout;
+    group.bench_function(format!("n{n}_m{m}"), |b| {
+        b.iter(|| {
+            black_box(regularize_with(&problem, black_box(&solved), ObjectiveKind::MinMax).is_ok())
+        })
+    });
+    group.finish();
+}
+
+wasla_bench::bench_main!(
+    "gradient",
+    bench_gradient_sweep,
+    bench_solve_paths,
+    bench_regularize
+);

@@ -162,6 +162,11 @@ fn step_points(n: usize, m: usize) -> [Vec<f64>; 2] {
     })
 }
 
+/// Engine-only sweep points: the dense oracle would take seconds per
+/// step here, and the engine's former per-cell trees alone needed
+/// 1 GiB at N=1024, M=64.
+const ENGINE_ONLY_SIZES: [(usize, usize); 1] = [(1024, 64)];
+
 /// N×M scaling sweep over one production solver step — the smoothed
 /// score followed by its analytic gradient (`lse_score` then
 /// `grad_at`) at a fresh point — on the incremental `EvalEngine` and
@@ -170,7 +175,7 @@ fn step_points(n: usize, m: usize) -> [Vec<f64>; 2] {
 fn bench_solver_step_sweep(c: &mut Harness) {
     {
         let mut group = c.benchmark_group("solver_step_engine");
-        for (n, m) in SWEEP_SIZES {
+        for (n, m) in SWEEP_SIZES.into_iter().chain(ENGINE_ONLY_SIZES) {
             let problem = sweep_problem(n, m);
             let points = step_points(n, m);
             let mut engine = EvalEngine::new(&problem);

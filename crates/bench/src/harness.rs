@@ -82,20 +82,24 @@ pub struct BenchResult {
     pub counters: Vec<(String, f64)>,
 }
 
+/// Median of `values` (0.0 when empty).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n == 0 {
+        return 0.0;
+    }
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
 impl BenchResult {
     /// Median per-iteration time in nanoseconds.
     pub fn median_ns(&self) -> f64 {
-        let mut s = self.samples_ns.clone();
-        s.sort_by(f64::total_cmp);
-        let n = s.len();
-        if n == 0 {
-            return 0.0;
-        }
-        if n % 2 == 1 {
-            s[n / 2]
-        } else {
-            (s[n / 2 - 1] + s[n / 2]) / 2.0
-        }
+        median(self.samples_ns.clone())
     }
 
     fn min_ns(&self) -> f64 {
@@ -186,6 +190,42 @@ impl Bencher<'_> {
             self.samples_ns.push(ns / iters as f64);
         }
         self.iters = iters;
+    }
+
+    /// Times several closures interleaved for an in-run comparison:
+    /// every iteration runs each closure once, timed on its own, in an
+    /// order rotated per iteration, so drift and contention hit all of
+    /// them alike. The recorded sample is one whole round. Returns,
+    /// per closure, the median over samples of its time divided by the
+    /// first closure's (so the first entry is 1.0).
+    pub fn iter_interleaved(&mut self, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+        let k = fs.len();
+        let iters = self.calibrate(|| {
+            for f in fs.iter_mut() {
+                f();
+            }
+        });
+        let mut ratios = vec![Vec::with_capacity(self.config.samples as usize); k];
+        let mut spent = vec![0.0f64; k];
+        for _ in 0..self.config.samples {
+            spent.iter_mut().for_each(|t| *t = 0.0);
+            let round = Instant::now();
+            for it in 0..iters as usize {
+                for r in 0..k {
+                    let q = (it + r) % k;
+                    let t0 = Instant::now();
+                    fs[q]();
+                    spent[q] += t0.elapsed().as_secs_f64();
+                }
+            }
+            let ns = round.elapsed().as_secs_f64() * 1e9;
+            self.samples_ns.push(ns / iters as f64);
+            for q in 0..k {
+                ratios[q].push(spent[q] / spent[0]);
+            }
+        }
+        self.iters = iters;
+        ratios.into_iter().map(median).collect()
     }
 
     /// Times `routine` on fresh inputs from `setup`; only the routine

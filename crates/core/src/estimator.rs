@@ -57,7 +57,7 @@ impl<'a> UtilizationEstimator<'a> {
     /// The contention factor `χᵢⱼ` (Eq. 2): temporally-correlated
     /// competing requests per own request on target `j`. Folded through
     /// the canonical pairwise kernel so the result is bit-identical to
-    /// the incremental engine's cached competing-rate trees.
+    /// the incremental engine's cached competing-rate sums.
     pub fn contention(&self, layout: &Layout, i: usize, j: usize, own_rate: f64) -> f64 {
         let specs = &self.problem.workloads.specs;
         let o_i = &specs[i].overlaps;

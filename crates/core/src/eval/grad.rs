@@ -93,36 +93,58 @@ pub fn cell_grad(
 
 // hot-closure-end
 
-/// Sparse transposed overlap structure for the cross-term
+/// Sparse rate-weighted overlap structure (CSR), in two orientations.
+///
+/// The transposed one ([`CrossAdjacency::build`]) drives the cross-term
 /// accumulation: row `i` lists every `(k, R_ki)` with
 /// `R_ki = rateᵢ·Oₖ[i] ≠ 0` — the rate at which raising `xᵢⱼ` feeds
 /// object `k`'s competing sum. Built once per problem; both
 /// evaluation paths iterate the same rows in the same order, which is
-/// what makes their analytic gradients bit-identical.
+/// what makes their analytic gradients bit-identical. The same rows
+/// tell `EvalEngine` which competing sums a change of `xᵢⱼ` touches;
+/// the forward one ([`CrossAdjacency::forward`]) lists the leaves it
+/// folds to recompute them.
 #[derive(Clone, Debug)]
 pub struct CrossAdjacency {
     /// CSR row offsets, length `n + 1`.
     offsets: Vec<usize>,
-    /// `(k, R_ki)` entries, rows concatenated in `k` order.
+    /// `(k, value)` entries, rows concatenated, each in `k` order.
     entries: Vec<(u32, f64)>,
 }
 
 impl CrossAdjacency {
-    /// Builds the adjacency from workload specs. The products match
-    /// `EvalEngine`'s `rw_overlap` invariant bit-for-bit (same operand
-    /// order).
+    /// Builds the transposed adjacency from workload specs: row `i`
+    /// holds `(k, R_ki = rateᵢ·Oₖ[i])`. Each product is bitwise the
+    /// matching entry of [`CrossAdjacency::forward`]'s row `k` (same
+    /// operands, same order).
     pub fn build(specs: &[WorkloadSpec]) -> Self {
-        let n = specs.len();
+        Self::from_fn(specs.len(), |i, k| {
+            specs[i].total_rate() * specs[k].overlaps[i]
+        })
+    }
+
+    /// Builds the forward adjacency: row `i` holds every
+    /// `(k, Rᵢₖ = rateₖ·Oᵢ[k]) ≠ 0` with `k ≠ i`, in `k` order — the
+    /// leaves of object `i`'s competing sum that can ever be nonzero,
+    /// associated exactly as the canonical kernel forms them.
+    pub fn forward(specs: &[WorkloadSpec]) -> Self {
+        Self::from_fn(specs.len(), |i, k| {
+            specs[k].total_rate() * specs[i].overlaps[k]
+        })
+    }
+
+    /// CSR over the nonzero `value(i, k)`, `k ≠ i`, rows in `i` order
+    /// and entries in `k` order.
+    fn from_fn(n: usize, value: impl Fn(usize, usize) -> f64) -> Self {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut entries = Vec::new();
         offsets.push(0);
         for i in 0..n {
-            let rate_i = specs[i].total_rate();
-            for (k, spec_k) in specs.iter().enumerate() {
+            for k in 0..n {
                 if k == i {
                     continue;
                 }
-                let rw = rate_i * spec_k.overlaps[i];
+                let rw = value(i, k);
                 if rw != 0.0 {
                     entries.push((k as u32, rw));
                 }
@@ -132,7 +154,7 @@ impl CrossAdjacency {
         CrossAdjacency { offsets, entries }
     }
 
-    /// The `(k, R_ki)` entries of row `i`.
+    /// The `(k, value)` entries of row `i`, in `k` order.
     #[inline]
     pub fn row(&self, i: usize) -> &[(u32, f64)] {
         &self.entries[self.offsets[i]..self.offsets[i + 1]]

@@ -9,19 +9,18 @@
 //! complete binary tree — and both paths commit to it:
 //!
 //! * the from-scratch path ([`pairwise_sum`], used by
-//!   `UtilizationEstimator::contention`) folds the tree recursively;
-//! * the incremental path (`EvalEngine`) materializes the same tree in
-//!   heap layout and recomputes only the `log₂ P` nodes on the path
-//!   from a changed leaf to the root, reading each untouched sibling
-//!   back in its original operand position.
+//!   `UtilizationEstimator::contention`) folds the tree recursively
+//!   over all `P` slots;
+//! * the incremental path (`EvalEngine`) folds only the *live* leaves
+//!   with [`sparse_pairwise_sum`], in O(live) instead of O(P).
 //!
-//! Replacing one leaf and recomputing its root path therefore yields
-//! the *same bits* as refolding all `P` slots, because every interior
-//! node is `left + right` of unchanged values either way. Slots that
-//! are gated off (`k == i`, `f_kj ≤ EPS`) or padding (`k ≥ n`)
-//! contribute `+0.0`, which is exact: every live term is a product of
-//! non-negative factors, and `x + 0.0 == x` bitwise for non-negative
-//! `x`.
+//! The two agree bit for bit. Slots that are gated off (`k == i`,
+//! `f_kj ≤ EPS`, zero overlap) or padding (`k ≥ n`) contribute `+0.0`,
+//! so a subtree without a live leaf sums to `+0.0`, and every live
+//! term is a product of non-negative factors, for which
+//! `x + 0.0 == 0.0 + x == x` bitwise. Dropping the dead subtrees
+//! therefore leaves exactly the additions between live subtrees, each
+//! still `left + right` at the node where the two meet.
 
 use crate::problem::EPS;
 
@@ -30,8 +29,8 @@ use crate::problem::EPS;
 /// The reduction shape is fixed by `n` alone: terms are padded with
 /// `+0.0` up to the next power of two and combined as a complete
 /// binary tree, left operand first. This is THE canonical association
-/// for competing-rate sums; `EvalEngine`'s cached trees must match it
-/// node for node.
+/// for competing-rate sums; [`sparse_pairwise_sum`] reproduces it
+/// from the live terms alone.
 pub fn pairwise_sum(n: usize, term: &mut dyn FnMut(usize) -> f64) -> f64 {
     if n == 0 {
         return 0.0;
@@ -48,6 +47,50 @@ fn fold_range(lo: usize, width: usize, n: usize, term: &mut dyn FnMut(usize) -> 
     }
     let half = width / 2;
     fold_range(lo, half, n, term) + fold_range(lo + half, half, n, term)
+}
+
+/// [`pairwise_sum`] over only the live terms: `leaves` yields
+/// `(slot, term)` pairs in strictly increasing slot order, and every
+/// slot it skips is taken to hold `+0.0`. For non-negative terms the
+/// result is bitwise equal to `pairwise_sum` over the zero-filled
+/// slots, whatever `n` the slots belong to.
+///
+/// Two consecutive live slots `a < b` meet at tree level
+/// `⌊log₂(a ⊕ b)⌋`. The fold keeps a fixed stack of partial sums, each
+/// tagged with the level at which it joins the entry below it; before
+/// pushing slot `b`, it folds `below + top` while the top's level is
+/// under that of `(a, b)`, then collapses the stack at the end. Levels
+/// on the stack strictly decrease upwards, so 65 slots suffice for any
+/// `usize` index and nothing allocates.
+pub fn sparse_pairwise_sum(leaves: impl IntoIterator<Item = (usize, f64)>) -> f64 {
+    let mut vals = [0.0f64; 65];
+    let mut levels = [0u32; 65];
+    let mut top = 0usize;
+    let mut prev = 0usize;
+    for (k, v) in leaves {
+        let level = if top == 0 {
+            0
+        } else {
+            usize::BITS - 1 - (prev ^ k).leading_zeros()
+        };
+        while top > 1 && levels[top - 1] < level {
+            top -= 1;
+            vals[top - 1] += vals[top];
+        }
+        vals[top] = v;
+        levels[top] = level;
+        top += 1;
+        prev = k;
+    }
+    while top > 1 {
+        top -= 1;
+        vals[top - 1] += vals[top];
+    }
+    if top == 0 {
+        0.0
+    } else {
+        vals[0]
+    }
 }
 
 /// How workload request rates enter the competing sum of Eq. 2.
@@ -112,9 +155,10 @@ pub fn contention(
 
 /// The numerator of `χᵢⱼ` alone — the gated competing-rate sum over
 /// the canonical pairwise association. This is exactly the value
-/// `EvalEngine` caches as tree `(i, j)`'s root; the analytic gradient
-/// path reads it directly (the from-scratch side recomputes it here)
-/// so both sides differentiate through bit-identical contention.
+/// `EvalEngine` caches in its competing-sum cell `(i, j)`; the
+/// analytic gradient path reads it directly (the from-scratch side
+/// recomputes it here) so both sides differentiate through
+/// bit-identical contention.
 pub fn competing_sum(
     n: usize,
     i: usize,
@@ -162,6 +206,19 @@ mod tests {
         let padded = pairwise_sum(4, &mut |k| if k < 3 { t[k] } else { 0.0 });
         let plain = pairwise_sum(3, &mut |k| t[k]);
         assert_eq!(padded.to_bits(), plain.to_bits());
+    }
+
+    #[test]
+    fn sparse_sum_keeps_the_tree_shape() {
+        assert_eq!(sparse_pairwise_sum([]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(sparse_pairwise_sum([(6, 2.5)]), 2.5);
+        // Live slots 0, 2, 3, 4 of n = 5 (slot 1 gated):
+        // ((t0 + 0) + (t2 + t3)) + t4.
+        let t = [1e16, 0.0, 1.0, 1.0, 3.0];
+        let sparse = sparse_pairwise_sum([0, 2, 3, 4].map(|k| (k, t[k])));
+        let dense = pairwise_sum(5, &mut |k| t[k]);
+        assert_eq!(sparse.to_bits(), dense.to_bits());
+        assert_eq!(sparse.to_bits(), (t[0] + (t[2] + t[3]) + t[4]).to_bits());
     }
 
     #[test]

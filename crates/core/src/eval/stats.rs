@@ -5,8 +5,8 @@ use wasla_simlib::impl_json_struct;
 /// What one solve actually computed. Counters are cumulative over the
 /// engine's lifetime; [`NlpOutcome`](crate::optimizer::NlpOutcome)
 /// carries the totals of the winning solve and benches report them
-/// per-call, which is how the "O(N) work per probe" claim is asserted
-/// instead of inferred from wall-clock.
+/// per-call, which is how the "O(live + degree) work per probe" claim
+/// is asserted instead of inferred from wall-clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EvalStats {
     /// Full objective evaluations (LSE, min-max, or utilization-vector
@@ -21,10 +21,14 @@ pub struct EvalStats {
     pub column_probes: u64,
     /// `CostModel::request_cost` invocations.
     pub cost_model_calls: u64,
-    /// `µᵢⱼ` cells served from cache because their inputs were
-    /// bit-unchanged (gated fraction, zero overlap, identical leaf).
+    /// `µᵢⱼ` cells a commit or probe served from cache because their
+    /// inputs were bit-unchanged: a neighbour whose competing-sum leaf
+    /// kept its bits, or a live cell the probed object does not feed.
+    /// Gated cells are never read, so they do not count.
     pub mu_reuses: u64,
-    /// Interior tree-node recomputations (pairwise-sum path updates).
+    /// Competing sums refolded by a commit or probe (one sparse
+    /// canonical fold over the object's overlap row each); rebuilds
+    /// count under `full_rebuilds` instead.
     pub term_updates: u64,
     /// Full from-scratch workspace rebuilds.
     pub full_rebuilds: u64,
