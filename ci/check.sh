@@ -266,5 +266,11 @@ rm -rf "$oplog_tmp"
 step "benches compile (offline)"
 cargo bench --offline --no-run
 
+step "perfbench compiles against the library (offline)"
+# perfbench (BENCHMARK.json) is its own package composing the public
+# stage API; building it here stops a library API cut from silently
+# breaking the end-to-end benchmark. It writes only perfbench/target.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo
 echo "all checks passed"

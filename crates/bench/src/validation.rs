@@ -1,21 +1,99 @@
 //! Model-validation experiments (beyond the paper's figures).
 //!
 //! * [`validate_eq1`] — checks the utilization law the whole advisor
-//!   rests on (paper Eq. 1: `µ = λ · Cost`): drive a simulated disk
-//!   open-loop at known rates/run counts and compare the measured busy
-//!   fraction against the calibrated model's prediction.
+//!   rests on (paper Eq. 1: `µ = λ · Cost`): replay a Poisson arrival
+//!   schedule against a simulated disk at known rates/run counts and
+//!   compare the measured busy fraction against the calibrated model's
+//!   prediction.
 //! * [`estimator_input`] — compares the paper's two input paths
 //!   (§5.1): trace-and-fit (Rubicon) vs. the analytic storage-workload
 //!   estimator (their citation \[19\], "may be less accurate"), by
 //!   advising from each and measuring both recommendations.
 
 use crate::common::{advise, advise_config, run_settings, ExpConfig, ExperimentResult, Row};
-use wasla::exec::{run_open_loop, OpenStream};
+use wasla::exec::{replay_oplog, Placement, ReplayReport};
 use wasla::model::{calibrate_device, CostModel};
 use wasla::pipeline::{self, Scenario, DISK_BYTES};
+use wasla::simlib::{SimRng, SimTime};
 use wasla::storage::{DeviceSpec, DiskParams, IoKind, StorageSystem, TargetConfig};
+use wasla::trace::oplog::{OpLog, OpRecord};
 use wasla::workload::estimator::{estimate, EstimatorConfig};
 use wasla::workload::{SqlWorkload, WorkloadSpec};
+
+/// The open-loop arrival schedule of `streams` over `duration`
+/// simulated seconds, as an op-log. Stream `i` is a workload
+/// description `(spec, span)` realized as requests on object `i`,
+/// which is `span` bytes long.
+///
+/// Arrivals are Poisson at each stream's total rate, exactly as the
+/// utilization law assumes; each arrival is a read or write by the
+/// spec's rate mix; sequential runs follow the spec's run count
+/// (geometrically distributed lengths), jumping to a uniformly random
+/// position between runs.
+fn poisson_oplog(streams: &[(WorkloadSpec, u64)], duration: f64, seed: u64) -> OpLog {
+    // Per stream: next arrival, requests left in the run, next offset.
+    let mut rng = SimRng::new(seed);
+    let mut states: Vec<(f64, u64, u64)> = streams
+        .iter()
+        .map(|(spec, _)| (rng.exponential(spec.total_rate()), 0, 0))
+        .collect();
+    let mut log = OpLog::new();
+    while let Some((idx, t)) = states
+        .iter()
+        .map(|s| s.0)
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+    {
+        if t > duration {
+            break;
+        }
+        let (spec, span) = (&streams[idx].0, streams[idx].1);
+        let (next_arrival, run_left, next_offset) = &mut states[idx];
+        let is_read = rng.uniform() * spec.total_rate() < spec.read_rate;
+        let len = if is_read {
+            spec.read_size
+        } else {
+            spec.write_size
+        }
+        .max(512.0) as u64;
+        if *run_left == 0 {
+            *run_left = rng.geometric_mean(spec.run_count);
+            *next_offset = rng.below((span / len).max(1)) * len;
+        }
+        let offset = (*next_offset).min(span.saturating_sub(len));
+        *next_offset = offset + len;
+        if *next_offset + len > span {
+            *run_left = 0;
+        } else {
+            *run_left -= 1;
+        }
+        let issue = SimTime::from_secs(t);
+        log.push(OpRecord {
+            kind: if is_read { IoKind::Read } else { IoKind::Write },
+            stream: idx as u32,
+            offset,
+            len,
+            issue,
+            complete: issue,
+        });
+        *next_arrival = t + rng.exponential(spec.total_rate());
+    }
+    log
+}
+
+/// Replays `log` against one fresh `target` holding its objects
+/// (`sizes`, in stream order) in one contiguous extent each — a stripe
+/// as large as the largest object — so every request reaches the
+/// device whole.
+fn replay_on_target(log: &OpLog, sizes: &[u64], target: TargetConfig, seed: u64) -> ReplayReport {
+    let capacity = target.capacity();
+    let whole = sizes.iter().copied().max().unwrap_or(1);
+    let rows = vec![vec![1.0]; sizes.len()];
+    let placement =
+        Placement::build(&rows, sizes, &[capacity], whole).expect("the objects fit the target");
+    let mut storage = StorageSystem::new(vec![target], seed);
+    replay_oplog(log, &placement, &mut storage, sizes.len()).expect("streams index the objects")
+}
 
 /// Eq. 1 validation: predicted vs measured utilization for a single
 /// uncontended stream across a (rate, run-count) grid.
@@ -23,6 +101,7 @@ pub fn validate_eq1(config: &ExpConfig) -> ExperimentResult {
     let capacity = (DISK_BYTES * config.scale.max(0.05)) as u64;
     let spec = DeviceSpec::Disk(DiskParams::scsi_15k(capacity));
     let model = calibrate_device(&spec, &advise_config(config).grid, config.seed);
+    let span = capacity - capacity / 8;
     let mut rows = Vec::new();
     let mut total_abs_err = 0.0;
     let mut points = 0usize;
@@ -38,16 +117,9 @@ pub fn validate_eq1(config: &ExpConfig) -> ExperimentResult {
                 overlaps: vec![],
             };
             let predicted = (rate * model.request_cost(IoKind::Read, size, run, 0.0)).min(1.0);
-            let mut storage =
-                StorageSystem::new(vec![TargetConfig::single("d0", spec.clone())], config.seed);
-            let streams = [OpenStream {
-                spec: wspec,
-                target: 0,
-                start: 0,
-                span: capacity - capacity / 8,
-                stream: 0,
-            }];
-            let report = run_open_loop(&mut storage, &streams, 120.0, config.seed);
+            let log = poisson_oplog(&[(wspec, span)], 120.0, config.seed);
+            let target = TargetConfig::single("d0", spec.clone());
+            let report = replay_on_target(&log, &[span], target, config.seed);
             let measured = report.target_utilization[0].min(1.0);
             let err = (predicted - measured).abs();
             total_abs_err += err;
@@ -222,5 +294,77 @@ pub fn estimator_input(config: &ExpConfig) -> ExperimentResult {
         title: "trace-fitted vs analytically-estimated workload inputs".into(),
         rows,
         text,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wasla::storage::GIB;
+
+    fn disk() -> TargetConfig {
+        TargetConfig::single("d0", DeviceSpec::Disk(DiskParams::scsi_15k(18 * GIB)))
+    }
+
+    fn spec(rate: f64, run: f64, size: f64) -> WorkloadSpec {
+        WorkloadSpec {
+            read_size: size,
+            write_size: size,
+            read_rate: rate,
+            write_rate: 0.0,
+            run_count: run,
+            overlaps: vec![],
+        }
+    }
+
+    #[test]
+    fn issues_at_the_requested_rate() {
+        let log = poisson_oplog(&[(spec(50.0, 1.0, 8192.0), 16 * GIB)], 100.0, 7);
+        let rate = log.len() as f64 / 100.0;
+        assert!((rate - 50.0).abs() < 5.0, "issued rate {rate}");
+        let report = replay_on_target(&log, &[16 * GIB], disk(), 3);
+        assert_eq!(report.issued, log.len() as u64);
+        assert_eq!(report.issued, report.completed);
+    }
+
+    #[test]
+    fn utilization_scales_with_rate() {
+        let measure = |rate: f64| {
+            let log = poisson_oplog(&[(spec(rate, 1.0, 8192.0), 16 * GIB)], 200.0, 7);
+            replay_on_target(&log, &[16 * GIB], disk(), 3).target_utilization[0]
+        };
+        let low = measure(20.0);
+        let high = measure(60.0);
+        assert!(high > 2.0 * low, "low {low} high {high}");
+        // Random 8 KiB at ~5 ms a piece: 20 req/s ≈ 10% busy.
+        assert!((0.05..0.25).contains(&low), "low {low}");
+    }
+
+    #[test]
+    fn sequential_streams_cost_less() {
+        let measure = |run: f64| {
+            let log = poisson_oplog(&[(spec(100.0, run, 131072.0), 16 * GIB)], 100.0, 7);
+            replay_on_target(&log, &[16 * GIB], disk(), 3).target_utilization[0]
+        };
+        let random = measure(1.0);
+        let sequential = measure(256.0);
+        assert!(sequential < 0.7 * random, "seq {sequential} rand {random}");
+    }
+
+    #[test]
+    fn two_streams_share_a_target() {
+        let streams = [
+            (spec(30.0, 64.0, 131072.0), 4 * GIB),
+            (spec(30.0, 1.0, 8192.0), 4 * GIB),
+        ];
+        let log = poisson_oplog(&streams, 100.0, 9);
+        for stream in 0..2 {
+            let issued = log.records().iter().filter(|r| r.stream == stream).count();
+            assert!(issued > 1000, "stream {stream} issued {issued}");
+        }
+        let report = replay_on_target(&log, &[4 * GIB, 4 * GIB], disk(), 3);
+        assert_eq!(report.issued, report.completed);
+        assert!(report.target_utilization[0] > 0.2);
+        assert!(report.mean_response > 0.0);
     }
 }

@@ -11,7 +11,7 @@ use crate::baselines;
 use crate::estimator::UtilizationEstimator;
 use crate::eval::{max_of, weighted_max};
 use crate::initial::{initial_layout, InitialLayoutError};
-use crate::optimizer::{solve_multistart, NlpOutcome, SolveMethod, SolverOptions};
+use crate::optimizer::{solve_multistart, MultistartError, NlpOutcome, SolveMethod, SolverOptions};
 use crate::problem::{Layout, LayoutProblem};
 use crate::regularize::{regularize_with, RegularizeError};
 use std::time::Instant;
@@ -19,7 +19,6 @@ use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::SimRng;
-use wasla_solver::MultistartError;
 
 /// Advisor configuration.
 #[derive(Clone, Debug)]

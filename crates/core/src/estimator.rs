@@ -129,17 +129,6 @@ impl<'a> UtilizationEstimator<'a> {
         crate::eval::max_of(&self.utilizations(layout))
     }
 
-    /// The full `µᵢⱼ` matrix.
-    pub fn mu_matrix(&self, layout: &Layout) -> Vec<Vec<f64>> {
-        (0..self.problem.n())
-            .map(|i| {
-                (0..self.problem.m())
-                    .map(|j| self.object_target_utilization(layout, i, j))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Total storage-system load of object `i` under `layout`
     /// (`Σⱼ µᵢⱼ`) — the regularizer's processing order key (§4.3).
     pub fn object_load(&self, layout: &Layout, i: usize) -> f64 {
@@ -259,11 +248,17 @@ mod tests {
     }
 
     #[test]
-    fn mu_matrix_and_object_load_consistent() {
+    fn object_load_and_utilizations_share_the_mu_terms() {
         let p = toy_problem(0.5);
         let est = UtilizationEstimator::new(&p);
         let l = Layout::from_rows(vec![vec![0.5, 0.5], vec![1.0, 0.0]]);
-        let mu = est.mu_matrix(&l);
+        let mu: Vec<Vec<f64>> = (0..2)
+            .map(|i| {
+                (0..2)
+                    .map(|j| est.object_target_utilization(&l, i, j))
+                    .collect()
+            })
+            .collect();
         let total_0: f64 = mu[0].iter().sum();
         assert!((est.object_load(&l, 0) - total_0).abs() < 1e-12);
         let by_target: Vec<f64> = (0..2).map(|j| mu[0][j] + mu[1][j]).collect();

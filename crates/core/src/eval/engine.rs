@@ -198,11 +198,6 @@ impl<'a> EvalEngine<'a> {
         self.objective
     }
 
-    /// The objective's per-target penalty weights.
-    pub fn objective_weights(&self) -> &[f64] {
-        &self.obj_w
-    }
-
     // hot-closure-begin: everything below runs inside solver
     // objective/gradient closures and must not allocate (ci/check.sh
     // greps this region for allocation idioms).

@@ -57,8 +57,9 @@ pub use eval::{
 };
 pub use initial::{initial_layout, InitialLayoutError};
 pub use optimizer::{
-    solve_multistart, solve_nlp, solve_with, NlpOutcome, SolveMethod, SolverOptions,
+    solve_multistart, solve_nlp, solve_with, MultistartError, NlpOutcome, SolveMethod,
+    SolverOptions,
 };
 pub use problem::{AdminConstraint, Layout, LayoutProblem};
 pub use regularize::{regularize, regularize_with, RegularizeError};
-pub use stage::{CacheStats, Stage, StageCache, STAGE_NAMES};
+pub use stage::{CacheStats, Stage, StageCache};

@@ -25,8 +25,8 @@ use std::cell::RefCell;
 use std::sync::Mutex;
 use wasla_simlib::par;
 use wasla_solver::{
-    project_simplex, AnnealOptions, AnnealSolver, AugLagOptions, Constraint, MultistartError,
-    ObjectiveFn, ObjectiveGradFn, PgOptions, ProjectedGradientSolver, SolveSpec, Solver,
+    project_simplex, AnnealOptions, AnnealSolver, AugLagOptions, Constraint, ObjectiveFn,
+    ObjectiveGradFn, PgOptions, ProjectedGradientSolver, SolveSpec, Solver,
 };
 
 /// Which search engine drives the solve.
@@ -269,6 +269,23 @@ fn solve_with_engine_in<'p>(
     }
 }
 
+/// Failure modes of [`solve_multistart`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MultistartError {
+    /// No starting points were supplied, so no solve ran.
+    NoStarts,
+}
+
+impl std::fmt::Display for MultistartError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MultistartError::NoStarts => write!(f, "multistart needs at least one start"),
+        }
+    }
+}
+
+impl std::error::Error for MultistartError {}
+
 /// Solves from several initial layouts and keeps the best (the
 /// Figure 4 `repeat?` loop; extra starts are how domain experts inject
 /// candidate layouts, §4.1), or [`MultistartError::NoStarts`] when no
@@ -508,5 +525,14 @@ mod tests {
         let single = solve_nlp(&p, &init, &opts);
         let multi = solve_multistart(&p, &[init, Layout::see(2, 2)], &opts).unwrap();
         assert!(multi.max_utilization <= single.max_utilization + 1e-9);
+    }
+
+    #[test]
+    fn multistart_with_no_starts_is_a_typed_error() {
+        let p = two_hot_objects(2);
+        let err =
+            solve_multistart(&p, &[], &SolverOptions::default()).expect_err("no starts, no solve");
+        assert_eq!(err, MultistartError::NoStarts);
+        assert!(err.to_string().contains("at least one start"));
     }
 }

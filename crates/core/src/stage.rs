@@ -2,34 +2,21 @@
 //!
 //! The paper's methodology is a fixed sequence of transformations —
 //! trace the workload, fit Rome descriptions, calibrate target models,
-//! solve the NLP, regularize, place — and several of those stages are
-//! *pure functions of identifiable inputs*: a calibration table depends
-//! only on the device spec and the grid; a fitted workload set depends
-//! only on the trace and the object inventory. This module gives the
-//! pipeline layers a common vocabulary for that structure:
+//! solve the NLP, regularize — and two of those stages are *pure
+//! functions of identifiable inputs*: a calibration table depends only
+//! on the device spec, the grid and the seed; a fitted workload set
+//! depends only on the trace and the object inventory. This module
+//! gives the pipeline layers a common vocabulary for that structure:
 //!
-//! * [`Stage`] — a named, typed transformation with an optional
-//!   content-hash cache key;
+//! * [`Stage`] — a typed transformation the facade's trace, solve and
+//!   regularize wrappers implement, so callers can compose the
+//!   pipeline one stage at a time;
 //! * [`StageCache`] — a keyed memo table with hit/miss accounting,
 //!   used by sessions to skip recomputation when the same inputs recur
 //!   across requests.
-//!
-//! The concrete stages live next to the things they wrap (the facade
-//! crate wires trace/fit/calibrate/solve/regularize/place together);
-//! this crate only defines the shared contract so that every layer
-//! agrees on stage names and caching semantics.
 
-/// Canonical stage names, in pipeline order.
-pub const STAGE_NAMES: [&str; 6] = ["trace", "fit", "calibrate", "solve", "regularize", "place"];
-
-/// One pipeline stage: a named transformation from `Input` to
-/// `Output` that can fail with `Error`.
-///
-/// A stage that is a pure function of hashable inputs advertises a
-/// [`cache_key`](Stage::cache_key); sessions use it to memoize the
-/// stage's output in a [`StageCache`]. Stages whose output depends on
-/// ambient state (e.g. the trace stage, which runs a simulation whose
-/// cost *is* the measurement) return `None` and always run.
+/// One pipeline stage: a transformation from `Input` to `Output` that
+/// can fail with `Error`.
 pub trait Stage {
     /// What the stage consumes.
     type Input;
@@ -38,17 +25,8 @@ pub trait Stage {
     /// How the stage fails.
     type Error;
 
-    /// The stage's canonical name (one of [`STAGE_NAMES`]).
-    fn name(&self) -> &'static str;
-
     /// Runs the transformation.
     fn run(&self, input: &Self::Input) -> Result<Self::Output, Self::Error>;
-
-    /// A content hash identifying the output for the given input, or
-    /// `None` when the stage is not cacheable.
-    fn cache_key(&self, _input: &Self::Input) -> Option<u64> {
-        None
-    }
 }
 
 /// Hit/miss counters for one [`StageCache`].
@@ -78,10 +56,12 @@ impl CacheStats {
 /// A keyed memo table for one stage's outputs.
 ///
 /// Keys are 64-bit content hashes (see `wasla_simlib::hash`). The
-/// table is a sorted-insertion vector rather than a hash map: caches
-/// hold a handful of entries (distinct device specs, distinct traces),
-/// lookups are a short scan, and iteration order stays deterministic
-/// for diagnostics.
+/// table is an insertion-order vector, so iteration and persistence
+/// order stay deterministic, and every lookup or insert is a linear
+/// scan: O(entries). That is cheap for calibration tables (one per
+/// distinct device spec) but not for fits, which a long-lived service
+/// accumulates per distinct trace (a fleet stress run ends with about
+/// 2k). ROADMAP open item 1 plans a key index beside the vector.
 #[derive(Clone, Debug)]
 pub struct StageCache<V> {
     entries: Vec<(u64, V)>,
@@ -222,13 +202,5 @@ mod tests {
         assert_eq!(c.peek(1), Some(&10));
         // peek leaves the counters alone.
         assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn stage_names_cover_the_pipeline() {
-        assert_eq!(
-            STAGE_NAMES,
-            ["trace", "fit", "calibrate", "solve", "regularize", "place"]
-        );
     }
 }

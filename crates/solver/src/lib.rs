@@ -18,15 +18,12 @@
 //! * [`mod@anneal`] — a randomized local-search solver in the spirit of the
 //!   Disk Array Designer's search (paper §7 suggests it as the obvious
 //!   alternative to an NLP solver), used for ablations;
-//! * [`mod@multistart`] — repeat optimization from several initial layouts
-//!   and keep the best (the paper's Figure 4 `repeat?` loop);
 //! * [`mod@solver`] — the unified [`Solver`] trait folding the engines
-//!   behind one object-safe interface selected by name, so multistart
-//!   and the advisor's stage layer pick engines at runtime.
+//!   behind one object-safe interface selected by name, so the
+//!   advisor picks engines at runtime.
 
 pub mod anneal;
 pub mod auglag;
-pub mod multistart;
 pub mod pg;
 pub mod simplex;
 pub mod smoothing;
@@ -34,7 +31,6 @@ pub mod solver;
 
 pub use anneal::{anneal, AnnealOptions};
 pub use auglag::{minimize_constrained, AugLagOptions, Constraint};
-pub use multistart::{multistart, MultistartError};
 pub use pg::{fd_gradient, minimize, PgOptions, PgResult};
 pub use simplex::{project_scaled_simplex, project_simplex};
 pub use smoothing::{lse_max, softmax_weights};

@@ -154,11 +154,6 @@ impl StorageSystem {
         }
     }
 
-    /// The configuration of a target.
-    pub fn target_config(&self, target: TargetId) -> &TargetConfig {
-        &self.targets[target].config
-    }
-
     /// Capacities of all targets in bytes.
     pub fn capacities(&self) -> Vec<u64> {
         self.targets.iter().map(|t| t.config.capacity()).collect()

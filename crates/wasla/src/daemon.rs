@@ -346,7 +346,7 @@ impl Service {
             let problem = if state.failed_targets.is_empty() {
                 base
             } else {
-                problem_without(&base, &state.failed_targets)
+                problem_without(&base, &state.failed_targets)?
             };
 
             let mut drift = detect_drift(

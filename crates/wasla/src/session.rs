@@ -27,15 +27,16 @@ use crate::error::WaslaError;
 use crate::persist;
 use crate::pipeline::{assemble_problem, AdviseConfig, AdviseOutcome, DegradedNote, Scenario};
 use crate::stages::{
-    CalibrateInput, CalibrateStage, FitStage, RegularizeInput, RegularizeStage, SolveStage,
-    TraceInput, TraceStage,
+    calibration_key, fit_key, RegularizeInput, RegularizeStage, SolveStage, TraceInput, TraceStage,
 };
 use std::path::PathBuf;
 use wasla_core::{
     CacheStats, LayoutProblem, ObjectiveKind, Recommendation, SolveQuality, Stage, StageCache,
 };
 use wasla_exec::DeviceEvent;
-use wasla_model::{calibration_fault, CalibrationGrid, TableModel, TargetCostModel};
+use wasla_model::{
+    calibrate_device, calibration_fault, CalibrationGrid, TableModel, TargetCostModel,
+};
 use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::par;
 use wasla_storage::{TargetConfig, Trace};
@@ -108,14 +109,11 @@ impl AdvisorSession {
         seed: u64,
     ) -> Result<TableModel, WaslaError> {
         let spec = TargetCostModel::member_spec(config)?;
-        let stage = CalibrateStage { grid };
-        let input = CalibrateInput { spec, seed };
-        let key = stage
-            .cache_key(&input)
-            .ok_or_else(|| WaslaError::Internal("calibrate stage must be cacheable".to_string()))?;
         Ok(self
             .calibrations
-            .get_or_insert_with(key, || stage.table(&input))
+            .get_or_insert_with(calibration_key(spec, grid, seed), || {
+                calibrate_device(spec, grid, seed)
+            })
             .clone())
     }
 
@@ -147,26 +145,24 @@ impl AdvisorSession {
         config: &FitConfig,
         objective: ObjectiveKind,
     ) -> Result<WorkloadSet, WaslaError> {
-        let stage = FitStage { config, objective };
-        self.fit_keyed(&stage, trace.content_hash(), trace.records(), names, sizes)
+        let key = fit_key(trace.content_hash(), names, sizes, config, objective);
+        self.fit_keyed(key, trace.records(), names, sizes, config)
     }
 
     /// The keyed fit behind every ingest path: the cache entry for
-    /// `hash` (a clean or damaged trace content hash), or a fresh fit
-    /// of `records` stored under it.
+    /// `key`, or a fresh fit of `records` stored under it.
     fn fit_keyed<R: FitRecord>(
         &mut self,
-        stage: &FitStage,
-        hash: u64,
+        key: u64,
         records: &[R],
         names: &[String],
         sizes: &[u64],
+        config: &FitConfig,
     ) -> Result<WorkloadSet, WaslaError> {
-        let key = stage.key_for_hash(hash, names, sizes);
         if let Some(cached) = self.fits.get(key) {
             return Ok(cached.clone());
         }
-        let fitted = fit_records(records, names, sizes, stage.config)?;
+        let fitted = fit_records(records, names, sizes, config)?;
         self.fits.insert(key, fitted.clone());
         Ok(fitted)
     }
@@ -182,17 +178,23 @@ impl AdvisorSession {
     /// signal to salvage, so the torn first record's
     /// `StreamOutOfRange` propagates. The report is `Some` when records
     /// were dropped.
+    #[allow(clippy::too_many_arguments)]
     fn fit_ingest<R: FitRecord>(
         &mut self,
-        stage: &FitStage,
         records: &[R],
         hash: u64,
         damaged_hash: impl FnOnce(usize) -> u64,
         names: &[String],
         sizes: &[u64],
+        config: &FitConfig,
+        objective: ObjectiveKind,
     ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
+        let key = |hash| fit_key(hash, names, sizes, config, objective);
         let Some(keep) = fault::plan().and_then(|p| p.trace_keep(hash, records.len())) else {
-            return Ok((self.fit_keyed(stage, hash, records, names, sizes)?, None));
+            return Ok((
+                self.fit_keyed(key(hash), records, names, sizes, config)?,
+                None,
+            ));
         };
         if keep == 0 && !records.is_empty() {
             return Err(FitError::StreamOutOfRange {
@@ -201,7 +203,8 @@ impl AdvisorSession {
             }
             .into());
         }
-        let fitted = self.fit_keyed(stage, damaged_hash(keep), &records[..keep], names, sizes)?;
+        let damaged = key(damaged_hash(keep));
+        let fitted = self.fit_keyed(damaged, &records[..keep], names, sizes, config)?;
         let salvage = SalvageReport {
             kept: keep,
             dropped: records.len() - keep,
@@ -228,12 +231,13 @@ impl AdvisorSession {
         objective: ObjectiveKind,
     ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
         self.fit_ingest(
-            &FitStage { config, objective },
             log.records(),
             log.trace_content_hash(),
             |keep| log.trace_content_hash_damaged(keep),
             names,
             sizes,
+            config,
+            objective,
         )
     }
 
@@ -348,15 +352,13 @@ impl AdvisorSession {
             WaslaError::Internal("trace stage returned a report without a trace".to_string())
         })?;
         let (fitted, salvage) = self.fit_ingest(
-            &FitStage {
-                config: &config.fit,
-                objective: config.advisor.solver.objective,
-            },
             trace.records(),
             trace.content_hash(),
             |keep| trace.content_hash_damaged(keep),
             &scenario.catalog.names(),
             &scenario.catalog.sizes(),
+            &config.fit,
+            config.advisor.solver.objective,
         )?;
         let (problem, recommendation) =
             self.advise_fitted(scenario, &fitted, salvage, config, &mut degraded)?;

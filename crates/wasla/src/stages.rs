@@ -1,42 +1,87 @@
-//! Concrete pipeline stages.
+//! Concrete pipeline stages and the session's cache keys.
 //!
-//! The facade's advise pipeline is the composition of six
-//! [`Stage`]s — trace, fit, calibrate, solve, regularize, place —
-//! each a thin typed wrapper over the layer that does the work. The
-//! wrappers exist so [`AdvisorSession`](crate::session::AdvisorSession)
-//! can treat the pipeline uniformly: every stage has a name, a typed
-//! error (lifted into [`WaslaError`]), and — for the pure stages —
-//! a content-hash cache key the session memoizes outputs under.
+//! The facade's advise pipeline is trace → fit → calibrate → solve →
+//! regularize. Trace, solve and regularize are [`Stage`]s — thin typed
+//! wrappers over the layer that does the work, with errors lifted into
+//! [`WaslaError`] — so a caller can compose and time the pipeline one
+//! stage at a time. Fit and calibrate run inside
+//! [`AdvisorSession`](crate::session::AdvisorSession), which memoizes
+//! their outputs under content-hash keys:
 //!
-//! Cache-key scheme (FNV-1a over canonical JSON and raw fields):
+//! * `calibration_key` — `(DeviceSpec JSON, CalibrationGrid JSON,
+//!   seed)`: a calibration table is a pure function of the device, the
+//!   grid, and the measurement seed.
+//! * `fit_key` — `(trace content hash, FitConfig fields, object
+//!   names, object sizes, objective id)`: a fitted workload set is a
+//!   pure function of the trace and the object inventory; the
+//!   objective id partitions the cache per layout objective so a warm
+//!   session answering for one objective never serves another (warm ≡
+//!   cold holds per objective).
 //!
-//! * **calibrate** — `(DeviceSpec JSON, CalibrationGrid JSON, seed)`:
-//!   a calibration table is a pure function of the device, the grid,
-//!   and the measurement seed.
-//! * **fit** — `(Trace::content_hash, FitConfig fields, object names,
-//!   object sizes, objective id)`: a fitted workload set is a pure
-//!   function of the trace and the object inventory; the objective id
-//!   partitions the cache per layout objective so a warm session
-//!   answering for one objective never serves another (warm ≡ cold
-//!   holds per objective).
+//! Both keys are FNV-1a over canonical JSON and raw fields, and they
+//! are what persisted caches are stored under: changing the hashed
+//! bytes turns every cache written before into misses.
 //!
-//! Trace, solve, regularize, and place are not cached: the trace stage
-//! runs a simulation whose cost *is* the measurement, and the solve
-//! chain is re-run per request (its inputs embed freshly fitted
-//! workloads and per-request seeds).
+//! Trace, solve and regularize are not cached: the trace stage runs a
+//! simulation whose cost *is* the measurement, and the solve chain is
+//! re-run per request (its inputs embed freshly fitted workloads and
+//! per-request seeds).
 
 use crate::error::WaslaError;
-use crate::pipeline::{self, RunSettings, Scenario, LVM_STRIPE};
+use crate::pipeline::{self, RunSettings, Scenario};
 use wasla_core::{
     AdvisorError, AdvisorOptions, Layout, LayoutProblem, ObjectiveKind, Recommendation,
     SolveOutcome, Stage,
 };
-use wasla_exec::{Placement, RunOutcome};
-use wasla_model::{calibrate_device, CalibrationGrid, TableModel};
+use wasla_exec::RunOutcome;
+use wasla_model::CalibrationGrid;
 use wasla_simlib::hash::{hash_json, Fnv64};
-use wasla_storage::{DeviceSpec, Trace};
-use wasla_trace::{fit_workloads, FitConfig};
+use wasla_storage::DeviceSpec;
+use wasla_trace::FitConfig;
 use wasla_workload::SqlWorkload;
+
+/// The calibration cache key for one device type.
+pub(crate) fn calibration_key(spec: &DeviceSpec, grid: &CalibrationGrid, seed: u64) -> u64 {
+    Fnv64::new()
+        .write_u64(hash_json(spec))
+        .write_u64(hash_json(grid))
+        .write_u64(seed)
+        .finish()
+}
+
+/// The fit cache key for a trace known by its content hash.
+///
+/// This is the single key scheme for every path into the fit cache:
+/// materialized traces (keyed by
+/// [`Trace::content_hash`](wasla_storage::Trace::content_hash)),
+/// streamed op-log ingestion (keyed by
+/// [`wasla_trace::oplog::OpLog::trace_content_hash`]), and
+/// fault-damaged salvage (keyed by the *damaged* trace hash). Sharing
+/// the scheme is what makes a fit cached from one representation serve
+/// the others. The fit itself is objective-independent, but the
+/// objective id participates so each objective's warm path replays
+/// exactly the entries its own cold path wrote.
+pub(crate) fn fit_key(
+    trace_hash: u64,
+    names: &[String],
+    sizes: &[u64],
+    config: &FitConfig,
+    objective: ObjectiveKind,
+) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(trace_hash)
+        .write_f64(config.window_s)
+        .write_u64(config.gap_tolerance)
+        .write_u64(names.len() as u64);
+    for name in names {
+        h.write_str(name);
+    }
+    for &size in sizes {
+        h.write_u64(size);
+    }
+    h.write_str(objective.name());
+    h.finish()
+}
 
 /// Input to [`TraceStage`]: the scenario and workload mix to trace.
 pub struct TraceInput<'a> {
@@ -46,7 +91,7 @@ pub struct TraceInput<'a> {
     pub workloads: &'a [SqlWorkload],
 }
 
-/// Stage 1 — run the workload under the SEE baseline layout with
+/// Run the workload under the SEE baseline layout with
 /// trace capture on, producing the baseline [`RunOutcome`]: the run
 /// report (which carries the block trace) plus any device-fault events
 /// the run observed.
@@ -60,10 +105,6 @@ impl<'a> Stage for TraceStage<'a> {
     type Input = TraceInput<'a>;
     type Output = RunOutcome;
     type Error = WaslaError;
-
-    fn name(&self) -> &'static str {
-        "trace"
-    }
 
     fn run(&self, input: &TraceInput<'a>) -> Result<RunOutcome, WaslaError> {
         let n = input.scenario.catalog.len();
@@ -96,123 +137,7 @@ impl<'a> Stage for TraceStage<'a> {
     }
 }
 
-/// Input to [`FitStage`]: a block trace plus the object inventory its
-/// stream ids index into.
-pub struct FitInput<'a> {
-    /// The captured block trace.
-    pub trace: &'a Trace,
-    /// Object names.
-    pub names: &'a [String],
-    /// Object sizes in bytes.
-    pub sizes: &'a [u64],
-}
-
-/// Stage 2 — fit Rome-style workload descriptions from the trace
-/// (Rubicon). Pure in its inputs, so cacheable by trace identity.
-pub struct FitStage<'a> {
-    /// Fitting tunables.
-    pub config: &'a FitConfig,
-    /// The layout objective the fitted workloads will be solved
-    /// under. The fit itself is objective-independent, but the id
-    /// participates in the cache key so each objective's warm path
-    /// replays exactly the entries its own cold path wrote.
-    pub objective: ObjectiveKind,
-}
-
-impl<'a> FitStage<'a> {
-    /// The fit cache key for a trace known only by its content hash.
-    ///
-    /// This is the single key scheme for every path into the fit
-    /// cache: materialized traces ([`Stage::cache_key`]), streamed
-    /// op-log ingestion (keyed by
-    /// [`wasla_trace::oplog::OpLog::trace_content_hash`]), and
-    /// fault-damaged salvage (keyed by the *damaged* trace hash).
-    /// Sharing the scheme is what makes a fit cached from one
-    /// representation serve the others.
-    pub fn key_for_hash(&self, trace_hash: u64, names: &[String], sizes: &[u64]) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(trace_hash)
-            .write_f64(self.config.window_s)
-            .write_u64(self.config.gap_tolerance)
-            .write_u64(names.len() as u64);
-        for name in names {
-            h.write_str(name);
-        }
-        for &size in sizes {
-            h.write_u64(size);
-        }
-        h.write_str(self.objective.name());
-        h.finish()
-    }
-}
-
-impl<'a> Stage for FitStage<'a> {
-    type Input = FitInput<'a>;
-    type Output = wasla_workload::WorkloadSet;
-    type Error = WaslaError;
-
-    fn name(&self) -> &'static str {
-        "fit"
-    }
-
-    fn run(&self, input: &FitInput<'a>) -> Result<wasla_workload::WorkloadSet, WaslaError> {
-        fit_workloads(input.trace, input.names, input.sizes, self.config).map_err(WaslaError::from)
-    }
-
-    fn cache_key(&self, input: &FitInput<'a>) -> Option<u64> {
-        Some(self.key_for_hash(input.trace.content_hash(), input.names, input.sizes))
-    }
-}
-
-/// Input to [`CalibrateStage`]: a device spec and the measurement
-/// seed.
-pub struct CalibrateInput<'a> {
-    /// The device type to calibrate.
-    pub spec: &'a DeviceSpec,
-    /// Base seed for the calibration measurements.
-    pub seed: u64,
-}
-
-/// Stage 3 — calibrate a tabulated cost model for one device type.
-/// Pure in `(spec, grid, seed)`, so cacheable; this is the expensive
-/// stage warm sessions skip.
-pub struct CalibrateStage<'a> {
-    /// The calibration grid.
-    pub grid: &'a CalibrationGrid,
-}
-
-impl<'a> CalibrateStage<'a> {
-    /// Runs the calibration (infallible; [`Stage::run`] wraps this).
-    pub fn table(&self, input: &CalibrateInput<'a>) -> TableModel {
-        calibrate_device(input.spec, self.grid, input.seed)
-    }
-}
-
-impl<'a> Stage for CalibrateStage<'a> {
-    type Input = CalibrateInput<'a>;
-    type Output = TableModel;
-    type Error = WaslaError;
-
-    fn name(&self) -> &'static str {
-        "calibrate"
-    }
-
-    fn run(&self, input: &CalibrateInput<'a>) -> Result<TableModel, WaslaError> {
-        Ok(self.table(input))
-    }
-
-    fn cache_key(&self, input: &CalibrateInput<'a>) -> Option<u64> {
-        Some(
-            Fnv64::new()
-                .write_u64(hash_json(input.spec))
-                .write_u64(hash_json(self.grid))
-                .write_u64(input.seed)
-                .finish(),
-        )
-    }
-}
-
-/// Stage 4 — the multi-start NLP solve over the assembled problem.
+/// The multi-start NLP solve over the assembled problem.
 pub struct SolveStage<'a> {
     /// Advisor options (solver settings, starts, seed).
     pub options: &'a AdvisorOptions,
@@ -222,10 +147,6 @@ impl<'a> Stage for SolveStage<'a> {
     type Input = LayoutProblem;
     type Output = SolveOutcome;
     type Error = WaslaError;
-
-    fn name(&self) -> &'static str {
-        "solve"
-    }
 
     fn run(&self, input: &LayoutProblem) -> Result<SolveOutcome, WaslaError> {
         wasla_core::solve_stage(input, self.options).map_err(WaslaError::from)
@@ -241,7 +162,7 @@ pub struct RegularizeInput<'a> {
     pub solved: SolveOutcome,
 }
 
-/// Stage 5 — regularize the solver layout (when requested), apply the
+/// Regularize the solver layout (when requested), apply the
 /// SEE sanity fallback, and assemble the final [`Recommendation`].
 pub struct RegularizeStage<'a> {
     /// Advisor options (regularization flag).
@@ -253,64 +174,8 @@ impl<'a> Stage for RegularizeStage<'a> {
     type Output = Recommendation;
     type Error = WaslaError;
 
-    fn name(&self) -> &'static str {
-        "regularize"
-    }
-
     fn run(&self, input: &RegularizeInput<'a>) -> Result<Recommendation, WaslaError> {
         wasla_core::regularize_stage(input.problem, self.options, input.solved.clone())
-            .map_err(WaslaError::from)
-    }
-}
-
-/// Input to [`PlaceStage`]: a layout's rows and the physical shape to
-/// realize them on.
-pub struct PlaceInput<'a> {
-    /// Layout matrix rows (N × M fractions).
-    pub rows: &'a [Vec<f64>],
-    /// Object sizes in bytes.
-    pub sizes: &'a [u64],
-    /// Raw target capacities in bytes.
-    pub capacities: &'a [u64],
-}
-
-/// Stage 6 — realize a layout as concrete per-target extents.
-///
-/// The lifetime ties the stage to its borrowed [`PlaceInput`], like
-/// every other stage in this module.
-pub struct PlaceStage<'a> {
-    /// LVM stripe size for striped rows.
-    pub stripe: u64,
-    _input: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a> PlaceStage<'a> {
-    /// A place stage with the given stripe size.
-    pub fn new(stripe: u64) -> Self {
-        PlaceStage {
-            stripe,
-            _input: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a> Default for PlaceStage<'a> {
-    fn default() -> Self {
-        PlaceStage::new(LVM_STRIPE)
-    }
-}
-
-impl<'a> Stage for PlaceStage<'a> {
-    type Input = PlaceInput<'a>;
-    type Output = Placement;
-    type Error = WaslaError;
-
-    fn name(&self) -> &'static str {
-        "place"
-    }
-
-    fn run(&self, input: &PlaceInput<'a>) -> Result<Placement, WaslaError> {
-        Placement::build(input.rows, input.sizes, input.capacities, self.stripe)
             .map_err(WaslaError::from)
     }
 }
@@ -318,54 +183,58 @@ impl<'a> Stage for PlaceStage<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wasla_storage::DiskParams;
+    use wasla_simlib::SimTime;
+    use wasla_storage::{BlockTraceRecord, DiskParams, IoKind, SsdParams, Trace};
+
+    fn one_record_trace(offset: u64) -> Trace {
+        let mut trace = Trace::new();
+        trace.push(BlockTraceRecord {
+            time: SimTime::from_secs(0.5),
+            stream: 0,
+            kind: IoKind::Read,
+            offset,
+            len: 8192,
+        });
+        trace
+    }
 
     #[test]
     fn calibrate_cache_key_separates_spec_grid_and_seed() {
         let grid_a = CalibrationGrid::coarse();
         let grid_b = CalibrationGrid::default();
         let disk = DeviceSpec::Disk(DiskParams::scsi_15k(1 << 30));
-        let ssd = DeviceSpec::Ssd(wasla_storage::SsdParams::sata_gen1(1 << 30));
-        let key = |grid: &CalibrationGrid, spec: &DeviceSpec, seed: u64| {
-            CalibrateStage { grid }
-                .cache_key(&CalibrateInput { spec, seed })
-                .unwrap()
-        };
-        let base = key(&grid_a, &disk, 7);
-        assert_eq!(base, key(&grid_a, &disk, 7), "key must be stable");
-        assert_ne!(base, key(&grid_b, &disk, 7), "grid must be in the key");
-        assert_ne!(base, key(&grid_a, &ssd, 7), "spec must be in the key");
-        assert_ne!(base, key(&grid_a, &disk, 8), "seed must be in the key");
+        let ssd = DeviceSpec::Ssd(SsdParams::sata_gen1(1 << 30));
+        let base = calibration_key(&disk, &grid_a, 7);
+        assert_eq!(
+            base,
+            calibration_key(&disk, &grid_a, 7),
+            "key must be stable"
+        );
+        assert_ne!(
+            base,
+            calibration_key(&disk, &grid_b, 7),
+            "grid must be in the key"
+        );
+        assert_ne!(
+            base,
+            calibration_key(&ssd, &grid_a, 7),
+            "spec must be in the key"
+        );
+        assert_ne!(
+            base,
+            calibration_key(&disk, &grid_a, 8),
+            "seed must be in the key"
+        );
     }
 
     #[test]
     fn fit_cache_key_tracks_trace_and_inventory() {
-        use wasla_simlib::SimTime;
-        use wasla_storage::{BlockTraceRecord, IoKind};
-        let record = |offset: u64| BlockTraceRecord {
-            time: SimTime::from_secs(0.5),
-            stream: 0,
-            kind: IoKind::Read,
-            offset,
-            len: 8192,
-        };
-        let mut trace_a = Trace::new();
-        trace_a.push(record(0));
-        let mut trace_b = Trace::new();
-        trace_b.push(record(8192));
+        let trace_a = one_record_trace(0);
+        let trace_b = one_record_trace(8192);
         let config = FitConfig::default();
         let names = ["obj".to_string()];
         let key = |trace: &Trace, sizes: &[u64], objective: ObjectiveKind| {
-            FitStage {
-                config: &config,
-                objective,
-            }
-            .cache_key(&FitInput {
-                trace,
-                names: &names,
-                sizes,
-            })
-            .unwrap()
+            fit_key(trace.content_hash(), &names, sizes, &config, objective)
         };
         let minmax = ObjectiveKind::MinMax;
         let base = key(&trace_a, &[1 << 20], minmax);
@@ -390,42 +259,28 @@ mod tests {
                 objective.name()
             );
         }
-        // The hash-first entry point is the same key scheme, so the
-        // streamed op-log path hits fits cached from materialized
-        // traces (and vice versa).
-        assert_eq!(
-            base,
-            FitStage {
-                config: &config,
-                objective: minmax,
-            }
-            .key_for_hash(trace_a.content_hash(), &names, &[1 << 20])
-        );
     }
 
     #[test]
-    fn stage_names_match_the_core_vocabulary() {
-        let settings = RunSettings::default();
-        let fit_config = FitConfig::default();
-        let grid = CalibrationGrid::coarse();
-        let options = AdvisorOptions::default();
-        let names = [
-            TraceStage {
-                settings: &settings,
-            }
-            .name(),
-            FitStage {
-                config: &fit_config,
-                objective: ObjectiveKind::MinMax,
-            }
-            .name(),
-            CalibrateStage { grid: &grid }.name(),
-            SolveStage { options: &options }.name(),
-            RegularizeStage { options: &options }.name(),
-            PlaceStage::default().name(),
-        ];
-        for name in names {
-            assert!(wasla_core::STAGE_NAMES.contains(&name), "unknown {name}");
-        }
+    fn cache_keys_are_pinned_so_persisted_caches_keep_hitting() {
+        // Caches persisted by `Service::persist` are looked up by these
+        // keys; a change to the hashed bytes silently turns every
+        // existing cache directory cold.
+        let disk = DeviceSpec::Disk(DiskParams::scsi_15k(1 << 30));
+        assert_eq!(
+            calibration_key(&disk, &CalibrationGrid::coarse(), 7),
+            3761347789911185639
+        );
+        let names = ["obj".to_string()];
+        assert_eq!(
+            fit_key(
+                one_record_trace(0).content_hash(),
+                &names,
+                &[1 << 20],
+                &FitConfig::default(),
+                ObjectiveKind::MinMax,
+            ),
+            6531777407352739861
+        );
     }
 }

@@ -11,7 +11,8 @@
 //!   fed the whole stream at once;
 //! * cumulative voluntary migration bytes never exceed the granted
 //!   budget, for every prefix of ticks — while evacuations off failed
-//!   targets are always admitted, even at budget zero;
+//!   targets are always admitted, even at budget zero, and a loop
+//!   with every target failed stops with a typed error naming them;
 //! * a corrupt controller checkpoint is quarantined and the loop
 //!   restarts cold, never panics;
 //! * `ReadviseOutcome` and `MigrationPlan` JSON is pinned by golden
@@ -19,7 +20,7 @@
 
 use std::path::PathBuf;
 use wasla::core::dynamic::{MigrationMove, MigrationPlan, ReadviseOutcome};
-use wasla::core::Layout;
+use wasla::core::{AdvisorError, Layout};
 use wasla::daemon::{DaemonConfig, TargetFailure};
 use wasla::pipeline::{AdviseConfig, DegradedNote, Scenario};
 use wasla::simlib::fault;
@@ -27,7 +28,7 @@ use wasla::simlib::json::{to_string_pretty, FromJson, Json};
 use wasla::simlib::time::SimTime;
 use wasla::storage::IoKind;
 use wasla::trace::oplog::{OpLog, OpRecord, WindowPlan};
-use wasla::Service;
+use wasla::{Service, WaslaError};
 
 /// A deterministic drifting stream: the read hotspot rotates through
 /// the catalog every `rotate_s`, with round-robin background traffic
@@ -261,6 +262,38 @@ fn failed_target_is_evacuated_even_at_budget_zero() {
             .any(|n| matches!(n, DegradedNote::DeviceFailed { .. })),
         "the injected failure must surface as a typed note"
     );
+}
+
+#[test]
+fn every_target_failed_is_a_typed_error_naming_the_targets() {
+    // A fleet-wide outage leaves nowhere to evacuate to: the loop must
+    // say so, not report the zero-capacity problem it would otherwise
+    // hand the solver.
+    let scenario = Scenario::homogeneous_disks(4, 0.01);
+    let log = synth_log(&scenario, 20.0, 6.0);
+    let mut service = Service::new(scenario.seed);
+    let failures = (0..scenario.targets.len())
+        .map(|target| TargetFailure { tick: 1, target })
+        .collect();
+    let err = service
+        .run_loop(
+            &log,
+            &scenario,
+            &AdviseConfig::fast(),
+            &daemon_config(0, failures),
+        )
+        .expect_err("a loop with every target failed must fail");
+    let WaslaError::Advisor(AdvisorError::InvalidProblem(msg)) = &err else {
+        panic!("expected a typed InvalidProblem, got {err:?}");
+    };
+    assert!(msg.contains("failed"), "message must name the cause: {msg}");
+    for target in &scenario.targets {
+        assert!(
+            msg.contains(&target.name),
+            "message must name failed target {}: {msg}",
+            target.name
+        );
+    }
 }
 
 #[test]

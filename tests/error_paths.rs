@@ -13,6 +13,7 @@
 //! [`WaslaError::Overloaded`] (exit 5), and malformed or unknown CLI
 //! flags are [`WaslaError::Usage`] (exit 2).
 
+use wasla::core::dynamic;
 use wasla::core::{AdminConstraint, AdvisorError};
 use wasla::exec::PlacementError;
 use wasla::persist;
@@ -254,16 +255,18 @@ fn evacuating_with_every_target_failed_is_a_typed_error() {
     let outcome = pipeline::advise(&scenario, &workloads(), &AdviseConfig::fast())
         .expect("baseline advise succeeds");
     let deployed = outcome.recommendation.final_layout();
-    let err: WaslaError = wasla::core::dynamic::readvise_around_failures(
-        &outcome.problem,
-        deployed,
-        &[0, 1, 2],
-        &Default::default(),
-        &Default::default(),
-    )
-    .err()
-    .expect("all targets failed should be an error")
-    .into();
+    let err: WaslaError = dynamic::problem_without(&outcome.problem, &[0, 1, 2])
+        .and_then(|problem| {
+            dynamic::readvise_incremental(
+                &problem,
+                deployed,
+                &Default::default(),
+                &Default::default(),
+                &dynamic::MigrationBudget::unbounded(),
+            )
+        })
+        .expect_err("all targets failed should be an error")
+        .into();
     assert!(
         matches!(err, WaslaError::Advisor(AdvisorError::InvalidProblem(_))),
         "expected a typed InvalidProblem, got {err:?}"
