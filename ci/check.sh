@@ -75,6 +75,14 @@ if [ "$ratchet_failed" -ne 0 ]; then
     exit 1
 fi
 
+step "non-test library lines (informational, no gate)"
+# The north star (ROADMAP.md) counts simplification in net library
+# lines. Same measure as the panic ratchet: every non-bench source file
+# up to its trailing #[cfg(test)] module.
+for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/' | sort); do
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+done | wc -l
+
 step "hot-loop allocation ratchet (solver closures stay allocation-free)"
 # The evaluation-engine work (DESIGN.md §10) hoisted every per-call
 # allocation out of the solver's objective/gradient/constraint

@@ -57,8 +57,7 @@ pub use eval::{
 };
 pub use initial::{initial_layout, InitialLayoutError};
 pub use optimizer::{
-    solve_multistart, solve_nlp, solve_with, MultistartError, NlpOutcome, SolveMethod,
-    SolverOptions,
+    solve_multistart, solve_nlp, MultistartError, NlpOutcome, SolveMethod, SolverOptions,
 };
 pub use problem::{AdminConstraint, Layout, LayoutProblem};
 pub use regularize::{regularize, regularize_with, RegularizeError};

@@ -25,8 +25,8 @@ use std::cell::RefCell;
 use std::sync::Mutex;
 use wasla_simlib::par;
 use wasla_solver::{
-    project_simplex, AnnealOptions, AnnealSolver, AugLagOptions, Constraint, ObjectiveFn,
-    ObjectiveGradFn, PgOptions, ProjectedGradientSolver, SolveSpec, Solver,
+    anneal, minimize_constrained, project_simplex, AnnealOptions, AugLagOptions, Constraint,
+    PgOptions,
 };
 
 /// Which search engine drives the solve.
@@ -36,26 +36,6 @@ pub enum SolveMethod {
     ProjectedGradient,
     /// Randomized local search (ablation baseline).
     Anneal,
-}
-
-impl SolveMethod {
-    /// The engine's stable name (matches
-    /// [`wasla_solver::solver_by_name`] and CLI/config strings).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveMethod::ProjectedGradient => "pg",
-            SolveMethod::Anneal => "anneal",
-        }
-    }
-
-    /// Parses an engine name; `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<SolveMethod> {
-        match name {
-            "pg" | "projected-gradient" => Some(SolveMethod::ProjectedGradient),
-            "anneal" => Some(SolveMethod::Anneal),
-            _ => None,
-        }
-    }
 }
 
 /// Options for [`solve_nlp`].
@@ -166,45 +146,23 @@ pub fn make_projection(problem: &LayoutProblem) -> impl Fn(&mut [f64]) + '_ {
 /// constraints into the objective (the annealing ablation).
 const CAPACITY_PENALTY_WEIGHT: f64 = 10.0;
 
-impl SolverOptions {
-    /// Materializes the search engine this configuration selects, as a
-    /// [`Solver`] trait object the stage layer can drive.
-    pub fn build_solver(&self) -> Box<dyn Solver> {
-        match self.method {
-            SolveMethod::ProjectedGradient => {
-                let mut auglag = self.auglag.clone();
-                auglag.inner = self.pg.clone();
-                Box::new(ProjectedGradientSolver { auglag })
-            }
-            SolveMethod::Anneal => Box::new(AnnealSolver {
-                opts: self.anneal.clone(),
-                penalty_weight: CAPACITY_PENALTY_WEIGHT,
-            }),
-        }
+/// `value` plus the annealing engine's capacity penalty at `x`:
+/// `CAPACITY_PENALTY_WEIGHT · max(0, g(x))²` added per constraint, in
+/// constraint order.
+pub fn penalized(value: f64, constraints: &[Constraint<'_>], x: &[f64]) -> f64 {
+    let mut v = value;
+    for c in constraints {
+        let over = (c.g)(x).max(0.0);
+        v += CAPACITY_PENALTY_WEIGHT * over * over;
     }
+    v
 }
 
-/// Solves the layout NLP from one initial layout, routing through the
-/// engine `opts.method` selects.
+/// Solves the layout NLP from one initial layout with the engine
+/// `opts.method` selects.
 pub fn solve_nlp(problem: &LayoutProblem, initial: &Layout, opts: &SolverOptions) -> NlpOutcome {
-    solve_with(problem, initial, opts, opts.build_solver().as_ref())
-}
-
-/// Drives one [`Solver`] engine over the layout NLP: builds the
-/// feasible-set projection and capacity constraints, then either runs
-/// the LSE temperature schedule (engines that follow gradients and
-/// want the `max` smoothed) or hands the engine the raw min-max
-/// objective (randomized search). One [`EvalEngine`] backs the
-/// objective, the analytic gradient and the capacity constraints (via
-/// cached column sums).
-pub fn solve_with(
-    problem: &LayoutProblem,
-    initial: &Layout,
-    opts: &SolverOptions,
-    solver: &dyn Solver,
-) -> NlpOutcome {
     let engine = RefCell::new(EvalEngine::with_objective(problem, opts.objective));
-    solve_with_engine_in(problem, initial, opts, solver, &engine)
+    solve_with_engine_in(problem, initial, opts, &engine)
 }
 
 /// The solve body over a caller-supplied engine, so multistart
@@ -213,11 +171,16 @@ pub fn solve_with(
 /// `incremental_commit_equals_rebuild`), so starting from whatever
 /// point a previous solve left committed is bit-equivalent to a fresh
 /// build. The engine must have been built for `opts.objective`.
+///
+/// One [`EvalEngine`] backs the objective, the analytic gradient and
+/// the capacity constraints (via cached column sums). Projected
+/// gradient runs the LSE temperature schedule through the
+/// augmented-Lagrangian loop; annealing samples the raw min-max score
+/// plus the [`penalized`] capacity penalty.
 fn solve_with_engine_in<'p>(
     problem: &'p LayoutProblem,
     initial: &Layout,
     opts: &SolverOptions,
-    solver: &dyn Solver,
     engine: &RefCell<EvalEngine<'p>>,
 ) -> NlpOutcome {
     debug_assert_eq!(engine.borrow().objective(), opts.objective);
@@ -226,46 +189,39 @@ fn solve_with_engine_in<'p>(
     let mut x = initial.to_flat();
     project(&mut x);
 
-    if solver.wants_smoothing() {
-        let mut converged = false;
-        for &rel_temp in &opts.temperatures {
-            let current_max = engine.borrow_mut().score_at(&x).max(1e-9);
-            let temp = rel_temp * current_max;
-            // hot-closure-begin: solver objective/gradient closures —
-            // all scratch lives in the engine workspace. The gradient
-            // is one exact chain-rule pass over the cached state.
-            let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| engine.borrow_mut().lse_score(xv, temp));
-            let grad: ObjectiveGradFn<'_> =
-                Box::new(|xv: &[f64], g: &mut [f64]| engine.borrow_mut().grad_at(xv, temp, g));
-            // hot-closure-end
-            let spec = SolveSpec {
-                objective: f,
-                gradient: Some(grad),
-                constraints: &constraints,
-                project: &project,
-                x0: &x,
+    match opts.method {
+        SolveMethod::ProjectedGradient => {
+            let auglag = AugLagOptions {
+                inner: opts.pg.clone(),
+                ..opts.auglag.clone()
             };
-            let result = solver.minimize(&spec);
-            drop(spec);
-            x = result.x;
-            converged = result.converged;
+            let mut converged = false;
+            for &rel_temp in &opts.temperatures {
+                let current_max = engine.borrow_mut().score_at(&x).max(1e-9);
+                let temp = rel_temp * current_max;
+                // hot-closure-begin: solver objective/gradient closures —
+                // all scratch lives in the engine workspace. The gradient
+                // is one exact chain-rule pass over the cached state.
+                let f = |xv: &[f64]| engine.borrow_mut().lse_score(xv, temp);
+                let grad = |xv: &[f64], g: &mut [f64]| engine.borrow_mut().grad_at(xv, temp, g);
+                // hot-closure-end
+                let result = minimize_constrained(f, grad, &constraints, &project, &x, &auglag);
+                x = result.x;
+                converged = result.converged;
+            }
+            finish_engine(problem, engine, x, converged)
         }
-        finish_engine(problem, engine, x, converged)
-    } else {
-        // hot-closure-begin: raw min-max score for randomized
-        // search — same engine workspace, no allocations per call.
-        let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| engine.borrow_mut().score_at(xv));
-        // hot-closure-end
-        let spec = SolveSpec {
-            objective: f,
-            gradient: None,
-            constraints: &constraints,
-            project: &project,
-            x0: &x,
-        };
-        let result = solver.minimize(&spec);
-        drop(spec);
-        finish_engine(problem, engine, result.x, result.converged)
+        SolveMethod::Anneal => {
+            // hot-closure-begin: raw min-max score plus capacity
+            // penalty — same engine workspace, no allocations per call.
+            let f = |xv: &[f64]| {
+                let score = engine.borrow_mut().score_at(xv);
+                penalized(score, &constraints, xv)
+            };
+            // hot-closure-end
+            let result = anneal(f, &project, &x, &opts.anneal);
+            finish_engine(problem, engine, result.x, result.converged)
+        }
     }
 }
 
@@ -320,7 +276,7 @@ pub fn solve_multistart(
         // work, not the pool's cumulative total.
         engine.stats = EvalStats::default();
         let cell = RefCell::new(engine);
-        let outcome = solve_with_engine_in(problem, s, opts, opts.build_solver().as_ref(), &cell);
+        let outcome = solve_with_engine_in(problem, s, opts, &cell);
         pool.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push(cell.into_inner());
@@ -515,6 +471,57 @@ mod tests {
         let out = solve_nlp(&p, &init, &opts);
         let est = UtilizationEstimator::new(&p);
         assert!(out.max_utilization <= est.max_utilization(&Layout::see(2, 2)) + 1e-9);
+    }
+
+    #[test]
+    fn both_engines_solve_the_simplex_lp() {
+        // min c·x on the simplex → the vertex of the smallest coefficient.
+        let c = [3.0, 0.5, 2.0];
+        let f = |x: &[f64]| x.iter().zip(&c).map(|(a, b)| a * b).sum::<f64>();
+        let grad = |_x: &[f64], g: &mut [f64]| g.copy_from_slice(&c);
+        let x0 = [1.0 / 3.0; 3];
+        let al = AugLagOptions::default();
+        let pg = minimize_constrained(f, grad, &[], project_simplex, &x0, &al);
+        let sa = anneal(f, project_simplex, &x0, &AnnealOptions::default());
+        for (name, r) in [("pg", pg), ("anneal", sa)] {
+            assert!(r.value < 0.7, "{name} value {}", r.value);
+            assert!(r.x[1] > 0.9, "{name} x {:?}", r.x);
+        }
+    }
+
+    /// `x0 ≤ 0.4`, the constraint both engine tests pull against.
+    fn x0_at_most_0_4() -> [Constraint<'static>; 1] {
+        [Constraint {
+            g: Box::new(|x: &[f64]| x[0] - 0.4),
+            grad: Box::new(|_x: &[f64], g: &mut [f64]| {
+                g[0] = 1.0;
+                g[1] = 0.0;
+            }),
+        }]
+    }
+
+    #[test]
+    fn pg_engine_honors_constraints() {
+        // min (x0-1)^2 on the simplex s.t. x0 ≤ 0.4 → x0 = 0.4.
+        let cons = x0_at_most_0_4();
+        let f = |x: &[f64]| (x[0] - 1.0).powi(2);
+        let grad = |x: &[f64], g: &mut [f64]| {
+            g[0] = 2.0 * (x[0] - 1.0);
+            g[1] = 0.0;
+        };
+        let al = AugLagOptions::default();
+        let r = minimize_constrained(f, grad, &cons, project_simplex, &[0.9, 0.1], &al);
+        assert!((r.x[0] - 0.4).abs() < 5e-3, "x0 = {}", r.x[0]);
+    }
+
+    #[test]
+    fn anneal_engine_penalizes_violation() {
+        // Pull toward x0 = 1 with x0 ≤ 0.4 as a penalty: the annealer
+        // must settle near the constraint boundary, not the pull.
+        let cons = x0_at_most_0_4();
+        let f = |x: &[f64]| penalized((x[0] - 1.0).powi(2), &cons, x);
+        let r = anneal(f, project_simplex, &[0.5, 0.5], &AnnealOptions::default());
+        assert!(r.x[0] < 0.55, "x0 = {}", r.x[0]);
     }
 
     #[test]

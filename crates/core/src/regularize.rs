@@ -24,7 +24,6 @@
 
 use crate::eval::{EvalEngine, ObjectiveKind};
 use crate::problem::{AdminConstraint, Layout, LayoutProblem, EPS};
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 
 /// Regularization failure (paper §4.3's "manual intervention" case).
 #[derive(Clone, Debug, PartialEq)]
@@ -35,35 +34,6 @@ pub enum RegularizeError {
         /// The object that could not be regularized.
         object: usize,
     },
-}
-
-impl ToJson for RegularizeError {
-    fn to_json(&self) -> Json {
-        match *self {
-            RegularizeError::DeadEnd { object } => json::variant(
-                "DeadEnd",
-                Json::Obj(vec![("object".to_string(), object.to_json())]),
-            ),
-        }
-    }
-}
-
-impl FromJson for RegularizeError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match json::untag(v)? {
-            ("DeadEnd", payload) => {
-                let object = payload
-                    .field("object")
-                    .ok_or_else(|| JsonError::missing_field("object"))?;
-                Ok(RegularizeError::DeadEnd {
-                    object: usize::from_json(object)?,
-                })
-            }
-            (other, _) => Err(JsonError::new(format!(
-                "unknown RegularizeError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for RegularizeError {

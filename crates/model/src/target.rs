@@ -19,7 +19,7 @@
 
 use crate::calibrate::{calibrate_device, CalibrationGrid};
 use crate::table::{CostGrad, CostModel, TableModel};
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
+use wasla_simlib::json::{FromJson, Json, JsonError, ToJson};
 use wasla_storage::{IoKind, TargetConfig, Tier};
 
 /// Why a target could not be modeled.
@@ -36,37 +36,6 @@ pub enum ModelError {
         /// The offending target's name.
         target: String,
     },
-}
-
-impl ToJson for ModelError {
-    fn to_json(&self) -> Json {
-        let (tag, target) = match self {
-            ModelError::NoMembers { target } => ("NoMembers", target),
-            ModelError::HeterogeneousRaid { target } => ("HeterogeneousRaid", target),
-        };
-        json::variant(
-            tag,
-            Json::Obj(vec![("target".to_string(), target.to_json())]),
-        )
-    }
-}
-
-impl FromJson for ModelError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = json::untag(v)?;
-        let target = String::from_json(
-            payload
-                .field("target")
-                .ok_or_else(|| JsonError::missing_field("target"))?,
-        )?;
-        match tag {
-            "NoMembers" => Ok(ModelError::NoMembers { target }),
-            "HeterogeneousRaid" => Ok(ModelError::HeterogeneousRaid { target }),
-            other => Err(JsonError::new(format!(
-                "unknown ModelError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for ModelError {
@@ -490,22 +459,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn model_error_json_round_trip() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            ModelError::NoMembers {
-                target: "t0".to_string(),
-            },
-            ModelError::HeterogeneousRaid {
-                target: "t1".to_string(),
-            },
-        ] {
-            let back: ModelError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
         }
     }
 }

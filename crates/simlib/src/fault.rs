@@ -108,7 +108,11 @@ impl DeviceFault {
 
 /// An injected solver-budget exhaustion: which rung of the fallback
 /// chain (auglag → pg → rate-greedy seed) the solve is forced down to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Variants run from least to most constrained, so the derived order
+/// is "tighter": on `Option<SolverBudget>` (where `None` means no
+/// budget) `a.max(b)` is the tighter of two budgets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SolverBudget {
     /// Keep the configured engine but cut its iteration budget; the
     /// anytime best-so-far iterate is returned.
@@ -247,6 +251,27 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn budgets_order_from_none_to_tightest() {
+        let order = [
+            None,
+            Some(SolverBudget::Tight),
+            Some(SolverBudget::PgOnly),
+            Some(SolverBudget::GreedyOnly),
+        ];
+        for pair in order.windows(2) {
+            assert!(pair[0] < pair[1], "{:?} !< {:?}", pair[0], pair[1]);
+        }
+        assert_eq!(
+            None.max(Some(SolverBudget::Tight)),
+            Some(SolverBudget::Tight)
+        );
+        assert_eq!(
+            Some(SolverBudget::GreedyOnly).max(Some(SolverBudget::PgOnly)),
+            Some(SolverBudget::GreedyOnly)
+        );
+    }
 
     #[test]
     fn spec_parsing_accepts_decimal_and_hex_and_rejects_noise() {

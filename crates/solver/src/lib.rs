@@ -17,24 +17,20 @@
 //!   capacity constraints;
 //! * [`mod@anneal`] — a randomized local-search solver in the spirit of the
 //!   Disk Array Designer's search (paper §7 suggests it as the obvious
-//!   alternative to an NLP solver), used for ablations;
-//! * [`mod@solver`] — the unified [`Solver`] trait folding the engines
-//!   behind one object-safe interface selected by name, so the
-//!   advisor picks engines at runtime.
+//!   alternative to an NLP solver), used for ablations.
+//!
+//! The crate exposes the engines as plain generic functions;
+//! `wasla_core::optimizer` picks one per solve by matching on its
+//! `SolveMethod`.
 
 pub mod anneal;
 pub mod auglag;
 pub mod pg;
 pub mod simplex;
 pub mod smoothing;
-pub mod solver;
 
 pub use anneal::{anneal, AnnealOptions};
 pub use auglag::{minimize_constrained, AugLagOptions, Constraint};
 pub use pg::{fd_gradient, minimize, PgOptions, PgResult};
 pub use simplex::{project_scaled_simplex, project_simplex};
 pub use smoothing::{lse_max, softmax_weights};
-pub use solver::{
-    solver_by_name, AnnealSolver, ObjectiveFn, ObjectiveGradFn, ProjectedGradientSolver, SolveSpec,
-    Solver, SOLVER_NAMES,
-};

@@ -26,6 +26,33 @@ pub struct BlockTraceRecord {
     pub len: u64,
 }
 
+/// The content hash of a record stream whose records past the first
+/// `keep` have their stream id replaced by `u32::MAX` (the damage
+/// fault injection produces); `keep == len` hashes the stream as is.
+/// Every trace and op-log cache key goes through this one loop, so a
+/// key computed from either representation of the same I/O agrees.
+/// Hashes the raw fields directly (not a JSON rendering) so keying a
+/// session cache stays cheap next to the fitting work it guards.
+pub fn content_hash<I>(records: I, keep: usize) -> u64
+where
+    I: ExactSizeIterator<Item = BlockTraceRecord>,
+{
+    let mut h = wasla_simlib::hash::Fnv64::new();
+    h.write_u64(records.len() as u64);
+    for (i, r) in records.enumerate() {
+        let stream = if i < keep { r.stream } else { u32::MAX };
+        h.write_f64(r.time.as_secs());
+        h.write_u64(stream as u64);
+        h.write_u64(match r.kind {
+            IoKind::Read => 0,
+            IoKind::Write => 1,
+        });
+        h.write_u64(r.offset);
+        h.write_u64(r.len);
+    }
+    h.finish()
+}
+
 /// An in-memory I/O trace.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -89,23 +116,9 @@ impl Trace {
 
     /// A stable 64-bit content hash over every record, for use as a
     /// stage-cache key: two traces hash equal iff they would drive any
-    /// deterministic consumer identically. Hashes the raw fields
-    /// directly (not a JSON rendering) so keying a session cache stays
-    /// cheap next to the fitting work it guards.
+    /// deterministic consumer identically (see [`content_hash`]).
     pub fn content_hash(&self) -> u64 {
-        let mut h = wasla_simlib::hash::Fnv64::new();
-        h.write_u64(self.records.len() as u64);
-        for r in &self.records {
-            h.write_f64(r.time.as_secs());
-            h.write_u64(r.stream as u64);
-            h.write_u64(match r.kind {
-                IoKind::Read => 0,
-                IoKind::Write => 1,
-            });
-            h.write_u64(r.offset);
-            h.write_u64(r.len);
-        }
-        h.finish()
+        content_hash(self.records.iter().copied(), self.records.len())
     }
 
     /// The [`Trace::content_hash`] this trace would have if every
@@ -114,20 +127,7 @@ impl Trace {
     /// layer key the salvage of a damaged trace without materializing
     /// the damaged copy first.
     pub fn content_hash_damaged(&self, keep: usize) -> u64 {
-        let mut h = wasla_simlib::hash::Fnv64::new();
-        h.write_u64(self.records.len() as u64);
-        for (i, r) in self.records.iter().enumerate() {
-            let stream = if i < keep { r.stream } else { u32::MAX };
-            h.write_f64(r.time.as_secs());
-            h.write_u64(stream as u64);
-            h.write_u64(match r.kind {
-                IoKind::Read => 0,
-                IoKind::Write => 1,
-            });
-            h.write_u64(r.offset);
-            h.write_u64(r.len);
-        }
-        h.finish()
+        content_hash(self.records.iter().copied(), keep)
     }
 
     /// Distinct stream ids, ascending.

@@ -26,7 +26,6 @@
 //! over [`wasla_simlib::par`] and merge in order, so the fitted set is
 //! bit-identical at any `WASLA_THREADS` setting.
 
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::par;
 use wasla_simlib::SimTime;
 use wasla_storage::{BlockTraceRecord, IoKind, Trace};
@@ -52,51 +51,6 @@ pub enum FitError {
         /// Number of objects in the catalog.
         objects: usize,
     },
-}
-
-impl ToJson for FitError {
-    fn to_json(&self) -> Json {
-        match *self {
-            FitError::ShapeMismatch { names, sizes } => json::variant(
-                "ShapeMismatch",
-                Json::Obj(vec![
-                    ("names".to_string(), names.to_json()),
-                    ("sizes".to_string(), sizes.to_json()),
-                ]),
-            ),
-            FitError::StreamOutOfRange { stream, objects } => json::variant(
-                "StreamOutOfRange",
-                Json::Obj(vec![
-                    ("stream".to_string(), stream.to_json()),
-                    ("objects".to_string(), objects.to_json()),
-                ]),
-            ),
-        }
-    }
-}
-
-impl FromJson for FitError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |payload: &Json, name: &str| -> Result<Json, JsonError> {
-            payload
-                .field(name)
-                .cloned()
-                .ok_or_else(|| JsonError::missing_field(name))
-        };
-        match json::untag(v)? {
-            ("ShapeMismatch", payload) => Ok(FitError::ShapeMismatch {
-                names: usize::from_json(&field(payload, "names")?)?,
-                sizes: usize::from_json(&field(payload, "sizes")?)?,
-            }),
-            ("StreamOutOfRange", payload) => Ok(FitError::StreamOutOfRange {
-                stream: u32::from_json(&field(payload, "stream")?)?,
-                objects: usize::from_json(&field(payload, "objects")?)?,
-            }),
-            (other, _) => Err(JsonError::new(format!(
-                "unknown FitError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for FitError {
@@ -671,21 +625,6 @@ mod tests {
         );
         let err2 = fit_duty_cycles(&trace, 2, 1.0).unwrap_err();
         assert_eq!(err, err2);
-    }
-
-    #[test]
-    fn fit_error_json_round_trip() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            FitError::ShapeMismatch { names: 3, sizes: 5 },
-            FitError::StreamOutOfRange {
-                stream: 9,
-                objects: 4,
-            },
-        ] {
-            let back: FitError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
-        }
     }
 
     #[test]

@@ -26,9 +26,10 @@
 
 use crate::{check_shape, fit_records, ChunkStats, FitConfig, FitError, FitRecord};
 use wasla_simlib::impl_json_struct;
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
+use wasla_simlib::json;
 use wasla_simlib::par;
 use wasla_simlib::SimTime;
+use wasla_storage::trace::content_hash;
 use wasla_storage::{BlockTraceRecord, IoKind, Trace};
 use wasla_workload::WorkloadSet;
 
@@ -151,93 +152,6 @@ impl std::fmt::Display for OpLogError {
 
 impl std::error::Error for OpLogError {}
 
-impl ToJson for OpLogError {
-    fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        match *self {
-            OpLogError::MissingHeader => json::variant("MissingHeader", Json::Null),
-            OpLogError::Truncated { line, fields } => json::variant(
-                "Truncated",
-                obj(vec![("line", line.to_json()), ("fields", fields.to_json())]),
-            ),
-            OpLogError::BadField { line, field } => json::variant(
-                "BadField",
-                obj(vec![
-                    ("line", line.to_json()),
-                    ("field", field.to_string().to_json()),
-                ]),
-            ),
-            OpLogError::UnknownOp { line } => {
-                json::variant("UnknownOp", obj(vec![("line", line.to_json())]))
-            }
-            OpLogError::NonMonotone { line } => {
-                json::variant("NonMonotone", obj(vec![("line", line.to_json())]))
-            }
-            OpLogError::Overlong { line, len } => json::variant(
-                "Overlong",
-                obj(vec![("line", line.to_json()), ("len", len.to_json())]),
-            ),
-        }
-    }
-}
-
-impl FromJson for OpLogError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |payload: &Json, name: &str| -> Result<Json, JsonError> {
-            payload
-                .field(name)
-                .cloned()
-                .ok_or_else(|| JsonError::missing_field(name))
-        };
-        let line = |payload: &Json| -> Result<usize, JsonError> {
-            usize::from_json(&field(payload, "line")?)
-        };
-        match json::untag(v)? {
-            ("MissingHeader", _) => Ok(OpLogError::MissingHeader),
-            ("Truncated", payload) => Ok(OpLogError::Truncated {
-                line: line(payload)?,
-                fields: usize::from_json(&field(payload, "fields")?)?,
-            }),
-            ("BadField", payload) => Ok(OpLogError::BadField {
-                line: line(payload)?,
-                field: canonical_field(&String::from_json(&field(payload, "field")?)?),
-            }),
-            ("UnknownOp", payload) => Ok(OpLogError::UnknownOp {
-                line: line(payload)?,
-            }),
-            ("NonMonotone", payload) => Ok(OpLogError::NonMonotone {
-                line: line(payload)?,
-            }),
-            ("Overlong", payload) => Ok(OpLogError::Overlong {
-                line: line(payload)?,
-                len: usize::from_json(&field(payload, "len")?)?,
-            }),
-            (other, _) => Err(JsonError::new(format!(
-                "unknown OpLogError variant: {other:?}"
-            ))),
-        }
-    }
-}
-
-/// Maps a deserialized field name back onto the static name the parser
-/// uses, so the error round-trips through JSON without leaking an
-/// allocation into the `&'static str` slot.
-fn canonical_field(name: &str) -> &'static str {
-    for known in ["stream", "offset", "len", "issue", "complete"] {
-        if name == known {
-            return known;
-        }
-    }
-    "unknown"
-}
-
 /// What the lossy reader salvaged from a damaged op-log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpLogSalvage {
@@ -338,19 +252,7 @@ impl OpLog {
     /// [`Trace::content_hash`] would produce, so a fit cached from a
     /// materialized trace serves the streamed path and vice versa.
     pub fn trace_content_hash(&self) -> u64 {
-        let mut h = wasla_simlib::hash::Fnv64::new();
-        h.write_u64(self.records.len() as u64);
-        for r in &self.records {
-            h.write_f64(r.issue.as_secs());
-            h.write_u64(r.stream as u64);
-            h.write_u64(match r.kind {
-                IoKind::Read => 0,
-                IoKind::Write => 1,
-            });
-            h.write_u64(r.offset);
-            h.write_u64(r.len);
-        }
-        h.finish()
+        self.trace_content_hash_damaged(self.records.len())
     }
 
     /// [`OpLog::trace_content_hash`] with every record past the first
@@ -359,20 +261,7 @@ impl OpLog {
     /// trace, so a salvage cached from either representation serves
     /// both.
     pub fn trace_content_hash_damaged(&self, keep: usize) -> u64 {
-        let mut h = wasla_simlib::hash::Fnv64::new();
-        h.write_u64(self.records.len() as u64);
-        for (i, r) in self.records.iter().enumerate() {
-            let stream = if i < keep { r.stream } else { u32::MAX };
-            h.write_f64(r.issue.as_secs());
-            h.write_u64(stream as u64);
-            h.write_u64(match r.kind {
-                IoKind::Read => 0,
-                IoKind::Write => 1,
-            });
-            h.write_u64(r.offset);
-            h.write_u64(r.len);
-        }
-        h.finish()
+        content_hash(self.records.iter().map(FitRecord::block), keep)
     }
 
     /// Issue-time span from first to last record.
@@ -970,25 +859,6 @@ mod tests {
             salvage.first_error,
             Some(OpLogError::NonMonotone { line: 7 })
         );
-    }
-
-    #[test]
-    fn oplog_error_json_round_trip() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            OpLogError::MissingHeader,
-            OpLogError::Truncated { line: 3, fields: 2 },
-            OpLogError::BadField {
-                line: 4,
-                field: "issue",
-            },
-            OpLogError::UnknownOp { line: 5 },
-            OpLogError::NonMonotone { line: 6 },
-            OpLogError::Overlong { line: 7, len: 999 },
-        ] {
-            let back: OpLogError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
-        }
     }
 
     #[test]

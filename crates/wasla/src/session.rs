@@ -17,8 +17,9 @@
 //!
 //! [`Service`] fans a batch of advise requests across the
 //! deterministic [`par`] pool: distinct calibrations are prewarmed
-//! serially first (each calibration is internally parallel, so this
-//! avoids nested fan-out), then requests run concurrently against
+//! serially first (so each calibration's grid map runs outside the
+//! batch fan-out; the fitter's and multistart's maps still nest inside
+//! it), then requests run concurrently against
 //! worker-local snapshots of the session caches, and newly computed
 //! stage outputs merge back in request order — so batch results are
 //! bit-identical at any `WASLA_THREADS` setting.
@@ -137,6 +138,9 @@ impl AdvisorSession {
     /// Fitted workload descriptions for a trace, reusing the cache
     /// when the same trace and inventory were fitted before (under the
     /// same layout objective — the objective id partitions the cache).
+    /// Under an active trace fault the trace is salvaged exactly as
+    /// [`advise`](AdvisorSession::advise) salvages it, so both return
+    /// the same workloads for the same trace.
     pub fn fit(
         &mut self,
         trace: &Trace,
@@ -145,8 +149,16 @@ impl AdvisorSession {
         config: &FitConfig,
         objective: ObjectiveKind,
     ) -> Result<WorkloadSet, WaslaError> {
-        let key = fit_key(trace.content_hash(), names, sizes, config, objective);
-        self.fit_keyed(key, trace.records(), names, sizes, config)
+        let (fitted, _salvage) = self.fit_ingest(
+            trace.records(),
+            trace.content_hash(),
+            |keep| trace.content_hash_damaged(keep),
+            names,
+            sizes,
+            config,
+            objective,
+        )?;
+        Ok(fitted)
     }
 
     /// The keyed fit behind every ingest path: the cache entry for
@@ -501,23 +513,6 @@ impl BatchPolicy {
     }
 }
 
-/// The tighter (cheaper-solve) of two budgets.
-fn tighter(a: Option<SolverBudget>, b: Option<SolverBudget>) -> Option<SolverBudget> {
-    fn rank(x: Option<SolverBudget>) -> u8 {
-        match x {
-            None => 0,
-            Some(SolverBudget::Tight) => 1,
-            Some(SolverBudget::PgOnly) => 2,
-            Some(SolverBudget::GreedyOnly) => 3,
-        }
-    }
-    if rank(a) >= rank(b) {
-        a
-    } else {
-        b
-    }
-}
-
 /// The solve budget a deadline class grants on a given attempt. Each
 /// consumed retry spends deadline in backoff, so the solve budget
 /// tightens one rung per attempt — the request degrades through the
@@ -840,7 +835,7 @@ impl Service {
                 } else {
                     request.deadline.and_then(|c| deadline_budget(c, attempt))
                 };
-                config.advisor.solve_budget = tighter(config.advisor.solve_budget, budget);
+                config.advisor.solve_budget = config.advisor.solve_budget.max(budget);
                 outcome = Some(local.advise(&request.scenario, &request.workloads, &config));
                 break;
             }

@@ -2,7 +2,8 @@
 //! [`ScratchEval`] evaluator instead of the production `EvalEngine`.
 //!
 //! Same projection, same capacity constraints, same temperature
-//! schedule and same engine (`SolverOptions::build_solver`) as
+//! schedule and the same engine calls (`minimize_constrained` for
+//! projected gradient, `anneal` over the `penalized` score) as
 //! `solve_nlp`; only the evaluation machinery differs. Because both
 //! evaluators fold contention through the canonical kernel, an
 //! analytic oracle solve is byte-identical to the production solve,
@@ -13,12 +14,12 @@
 #![allow(dead_code)]
 
 use std::cell::RefCell;
-use wasla::core::optimizer::make_projection;
+use wasla::core::optimizer::{make_projection, penalized};
 use wasla::core::{
-    max_of, weighted_max, Layout, LayoutProblem, NlpOutcome, ScratchEval, SolverOptions,
-    UtilizationEstimator,
+    max_of, weighted_max, Layout, LayoutProblem, NlpOutcome, ScratchEval, SolveMethod,
+    SolverOptions, UtilizationEstimator,
 };
-use wasla::solver::{Constraint, ObjectiveFn, ObjectiveGradFn, SolveSpec};
+use wasla::solver::{anneal, minimize_constrained, AugLagOptions, Constraint};
 
 /// How the oracle solve differentiates the smoothed objective.
 #[derive(Clone, Copy, Debug)]
@@ -39,47 +40,39 @@ pub fn oracle_solve(
     opts: &SolverOptions,
     grad: OracleGrad,
 ) -> NlpOutcome {
-    let solver = opts.build_solver();
     let scratch = &RefCell::new(ScratchEval::with_objective(problem, opts.objective));
     let project = make_projection(problem);
     let constraints = capacity_constraints(problem);
     let mut x = initial.to_flat();
     project(&mut x);
     let mut converged = false;
-    if solver.wants_smoothing() {
-        for &rel_temp in &opts.temperatures {
-            let temp = rel_temp * scratch.borrow_mut().score_at(&x).max(1e-9);
-            let f: ObjectiveFn<'_> =
-                Box::new(|xv: &[f64]| scratch.borrow_mut().lse_score(xv, temp));
-            let g: ObjectiveGradFn<'_> = match grad {
-                OracleGrad::Analytic => {
-                    Box::new(|xv: &[f64], g: &mut [f64]| scratch.borrow_mut().grad_at(xv, temp, g))
-                }
-                OracleGrad::Fd(h) => Box::new(move |xv: &[f64], g: &mut [f64]| {
-                    scratch.borrow_mut().fd_grad_at(xv, temp, h, g)
-                }),
+    match opts.method {
+        SolveMethod::ProjectedGradient => {
+            let auglag = AugLagOptions {
+                inner: opts.pg.clone(),
+                ..opts.auglag.clone()
             };
-            let result = solver.minimize(&SolveSpec {
-                objective: f,
-                gradient: Some(g),
-                constraints: &constraints,
-                project: &project,
-                x0: &x,
-            });
+            for &rel_temp in &opts.temperatures {
+                let temp = rel_temp * scratch.borrow_mut().score_at(&x).max(1e-9);
+                let f = |xv: &[f64]| scratch.borrow_mut().lse_score(xv, temp);
+                let gradient = |xv: &[f64], g: &mut [f64]| match grad {
+                    OracleGrad::Analytic => scratch.borrow_mut().grad_at(xv, temp, g),
+                    OracleGrad::Fd(h) => scratch.borrow_mut().fd_grad_at(xv, temp, h, g),
+                };
+                let result = minimize_constrained(f, gradient, &constraints, &project, &x, &auglag);
+                x = result.x;
+                converged = result.converged;
+            }
+        }
+        SolveMethod::Anneal => {
+            let f = |xv: &[f64]| {
+                let score = scratch.borrow_mut().score_at(xv);
+                penalized(score, &constraints, xv)
+            };
+            let result = anneal(f, &project, &x, &opts.anneal);
             x = result.x;
             converged = result.converged;
         }
-    } else {
-        let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| scratch.borrow_mut().score_at(xv));
-        let result = solver.minimize(&SolveSpec {
-            objective: f,
-            gradient: None,
-            constraints: &constraints,
-            project: &project,
-            x0: &x,
-        });
-        x = result.x;
-        converged = result.converged;
     }
     let layout = Layout::from_flat(&x, problem.n(), problem.m());
     let utilizations = UtilizationEstimator::new(problem).utilizations(&layout);

@@ -9,6 +9,9 @@
 //! (`NlpOutcome::stats`) are excluded from the comparison on purpose —
 //! they are the one field that legitimately differs.
 //!
+//! The production report is also pinned to a fixed hash, so the
+//! engines cannot drift together unnoticed.
+//!
 //! The whole check lives in ONE test function: it mutates the
 //! `WASLA_THREADS` environment variable, which is only safe while no
 //! other test in the same binary runs concurrently.
@@ -22,6 +25,7 @@ use wasla::core::{
     SolverOptions,
 };
 use wasla::model::CostModel;
+use wasla::simlib::hash::Fnv64;
 use wasla::storage::IoKind;
 use wasla::workload::{ObjectKind, WorkloadSet, WorkloadSpec};
 
@@ -134,6 +138,17 @@ fn solve_report(oracle: bool) -> String {
     report
 }
 
+/// FNV-1a hash of the production `solve_report`. It moves with any
+/// change to either engine's arithmetic — projected gradient or
+/// annealing, single start or multistart — and no perfbench workload
+/// runs the annealer, so this is its bit-identity guard. Re-pin it
+/// only for a deliberate, documented re-baseline.
+const PINNED_SOLVE_REPORT_HASH: u64 = 0x7a64_5143_d195_8f52;
+
+fn report_hash(report: &str) -> u64 {
+    Fnv64::new().write_str(report).finish()
+}
+
 fn at_threads(t: usize) -> (String, String) {
     std::env::set_var("WASLA_THREADS", t.to_string());
     let out = (solve_report(false), solve_report(true));
@@ -155,4 +170,9 @@ fn engine_and_scratch_paths_are_byte_identical() {
         "engine swap changed solve outcomes at WASLA_THREADS=8"
     );
     assert_eq!(engine_1, engine_8, "engine path depends on WASLA_THREADS");
+    assert_eq!(
+        report_hash(&engine_1),
+        PINNED_SOLVE_REPORT_HASH,
+        "solve outcomes moved off the pinned report:\n{engine_1}"
+    );
 }

@@ -11,6 +11,7 @@
 
 use wasla::model::TargetCostModel;
 use wasla::pipeline::{self, AdviseConfig, AdviseOutcome, DegradedNote, Scenario};
+use wasla::session::AdvisorSession;
 use wasla::simlib::fault::{self, FaultPlan};
 use wasla::simlib::hash::hash_json;
 use wasla::workload::SqlWorkload;
@@ -92,6 +93,22 @@ fn every_fault_kind_degrades_gracefully() {
         outcome.degraded
     );
     assert_feasible(&outcome);
+    // The public fit salvages the damaged trace exactly as advise
+    // does, so both return the same workloads for the same trace.
+    let config = AdviseConfig::fast();
+    let refit = AdvisorSession::new()
+        .fit(
+            outcome.baseline_run.trace.as_ref().expect("trace captured"),
+            &scenario().catalog.names(),
+            &scenario().catalog.sizes(),
+            &config.fit,
+            config.advisor.solver.objective,
+        )
+        .expect("salvaged fit");
+    assert_eq!(
+        refit, outcome.fitted,
+        "seed {seed}: fit and advise disagree"
+    );
 
     // 2. Device fault during replay: the run must finish, emit a
     //    device note, and still produce a feasible recommendation.
