@@ -244,3 +244,24 @@ else
     echo "error: rejecting a request is only ${ratio}x cheaper than serving it (gate: 50x)" >&2
     exit 1
 fi
+
+echo
+echo "== stress history-cost gate (tick after 2,048 tenants vs fresh tick) =="
+# A served tick must cost O(batch), not O(history): requests borrow the
+# shared session instead of copying it, and cache lookups go through a
+# key index. The same warm 8-tenant tick on a service that has already
+# advised 2,048 other tenants must stay within 1.2x of the tick on a
+# fresh service. In-run comparison, so machine drift cancels out.
+history_ns=$(median_of "stress/tick_served_b8_h2048" stress)
+if [ -z "$history_ns" ]; then
+    echo "error: stress/tick_served_b8_h2048 missing from results/BENCH_stress.json" >&2
+    exit 1
+fi
+ratio=$(awk -v h="$history_ns" -v s="$served_ns" 'BEGIN { printf "%.2f", h / s }')
+echo "stress: tick_served_b8_h2048 ${history_ns} ns / tick_served_b8 ${served_ns} ns = ${ratio}x"
+if awk -v h="$history_ns" -v s="$served_ns" 'BEGIN { exit !(h <= 1.2 * s) }'; then
+    echo "history-cost gate passed (<= 1.2x a fresh tick)"
+else
+    echo "error: a tick after 2,048 tenants is ${ratio}x a fresh tick (gate: 1.2x)" >&2
+    exit 1
+fi

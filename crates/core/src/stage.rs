@@ -15,6 +15,9 @@
 //!   used by sessions to skip recomputation when the same inputs recur
 //!   across requests.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 /// One pipeline stage: a transformation from `Input` to `Output` that
 /// can fail with `Error`.
 pub trait Stage {
@@ -55,16 +58,16 @@ impl CacheStats {
 
 /// A keyed memo table for one stage's outputs.
 ///
-/// Keys are 64-bit content hashes (see `wasla_simlib::hash`). The
-/// table is an insertion-order vector, so iteration and persistence
-/// order stay deterministic, and every lookup or insert is a linear
-/// scan: O(entries). That is cheap for calibration tables (one per
-/// distinct device spec) but not for fits, which a long-lived service
-/// accumulates per distinct trace (a fleet stress run ends with about
-/// 2k). ROADMAP open item 1 plans a key index beside the vector.
+/// Keys are 64-bit content hashes (see `wasla_simlib::hash`). Entries
+/// live in an insertion-order vector, so iteration and persistence
+/// order stay deterministic, and a key index beside it makes every
+/// lookup and insert O(1). The index holds each key's first entry, so
+/// a long-lived service's fit cache (one entry per distinct trace)
+/// costs the same per request at 2k entries as at 2.
 #[derive(Clone, Debug)]
 pub struct StageCache<V> {
     entries: Vec<(u64, V)>,
+    index: HashMap<u64, usize>,
     stats: CacheStats,
 }
 
@@ -79,6 +82,7 @@ impl<V> StageCache<V> {
     pub fn new() -> Self {
         StageCache {
             entries: Vec::new(),
+            index: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -100,32 +104,26 @@ impl<V> StageCache<V> {
 
     /// Looks up a key without touching the counters (snapshot reads).
     pub fn peek(&self, key: u64) -> Option<&V> {
-        self.entries.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.index.get(&key).map(|&pos| &self.entries[pos].1)
     }
 
     /// Looks up a key, recording a hit or miss.
     pub fn get(&mut self, key: u64) -> Option<&V> {
-        if self.entries.iter().any(|(k, _)| *k == key) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
+        let pos = self.index.get(&key).copied();
+        match pos {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
-        self.peek(key)
+        pos.map(|pos| &self.entries[pos].1)
     }
 
     /// Inserts an output unless the key is already present (first
     /// write wins, so replaying a batch in request order is stable).
     pub fn insert(&mut self, key: u64, value: V) {
-        if self.peek(key).is_none() {
+        if let Entry::Vacant(slot) = self.index.entry(key) {
+            slot.insert(self.entries.len());
             self.entries.push((key, value));
         }
-    }
-
-    /// Consumes the cache, yielding its `(key, value)` entries in
-    /// insertion order (batch layers use this to merge worker-local
-    /// caches back into a shared session).
-    pub fn into_entries(self) -> Vec<(u64, V)> {
-        self.entries
     }
 
     /// The `(key, value)` entries in insertion order, borrowed (the
@@ -136,30 +134,53 @@ impl<V> StageCache<V> {
 
     /// Rebuilds a cache from persisted entries. Counters start at
     /// zero: a restored cache is *warm data* but has served nothing.
+    /// A duplicated key answers with its first entry.
     pub fn from_entries(entries: Vec<(u64, V)>) -> Self {
+        let mut index = HashMap::with_capacity(entries.len());
+        for (pos, (key, _)) in entries.iter().enumerate() {
+            index.entry(*key).or_insert(pos);
+        }
         StageCache {
             entries,
+            index,
             stats: CacheStats::default(),
         }
     }
 
-    /// Folds another cache's counters into this one's (used together
-    /// with [`CacheStats::since`] when merging worker-local caches).
-    pub fn add_stats(&mut self, delta: CacheStats) {
-        self.stats.hits += delta.hits;
-        self.stats.misses += delta.misses;
+    /// Counts a hit served from another cache layered above this one
+    /// (a batch request reading the shared session records the hit on
+    /// its own delta).
+    pub fn record_hit(&mut self) {
+        self.stats.hits += 1;
+    }
+
+    /// Folds a delta cache into this one: its counters add up, and its
+    /// entries insert in their order, first write wins.
+    pub fn absorb(&mut self, delta: StageCache<V>) {
+        self.stats.hits += delta.stats.hits;
+        self.stats.misses += delta.stats.misses;
+        for (key, value) in delta.entries {
+            self.insert(key, value);
+        }
     }
 
     /// Returns the cached output for `key`, computing and caching it
     /// on a miss.
     pub fn get_or_insert_with(&mut self, key: u64, compute: impl FnOnce() -> V) -> &V {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.stats.hits += 1;
-            return &self.entries[pos].1;
-        }
-        self.stats.misses += 1;
-        self.entries.push((key, compute()));
-        &self.entries[self.entries.len() - 1].1
+        let pos = match self.index.entry(key) {
+            Entry::Occupied(slot) => {
+                self.stats.hits += 1;
+                *slot.get()
+            }
+            Entry::Vacant(slot) => {
+                self.stats.misses += 1;
+                let pos = self.entries.len();
+                self.entries.push((key, compute()));
+                slot.insert(pos);
+                pos
+            }
+        };
+        &self.entries[pos].1
     }
 }
 

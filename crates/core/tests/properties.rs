@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 use wasla_core::{
-    initial_layout, layout_model, regularize, solve_nlp, Layout, LayoutProblem, SolverOptions,
-    UtilizationEstimator,
+    initial_layout, layout_model, regularize, solve_nlp, CacheStats, Layout, LayoutProblem,
+    SolverOptions, StageCache, UtilizationEstimator,
 };
 use wasla_model::CostModel;
 use wasla_simlib::proptest::prelude::*;
@@ -191,6 +191,67 @@ proptest! {
             if rate > 0.0 {
                 prop_assert!(est.contention(&see, i, 0, rate / m as f64) >= 0.0);
             }
+        }
+    }
+
+    /// `StageCache` behaves exactly like a linear scan over its
+    /// insertion-order entries: every lookup returns the first entry
+    /// with its key, inserts are first-write-wins, and the counters
+    /// and entry order match the scan after every operation. Keys come
+    /// from a small range, so seeds hold duplicates and operations
+    /// revisit keys.
+    #[test]
+    fn stage_cache_matches_linear_scan_model(
+        seed in proptest::collection::vec((0u64..12, 0u32..1000), 0..16),
+        ops in proptest::collection::vec((0u8..4, 0u64..12, 0u32..1000), 0..64),
+    ) {
+        let mut cache = StageCache::from_entries(seed.clone());
+        let mut model = seed;
+        let mut stats = CacheStats::default();
+        let scan = |model: &[(u64, u32)], key: u64| {
+            model.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+        };
+        for (op, key, value) in ops {
+            let expected = scan(&model, key);
+            match op {
+                0 => {
+                    match expected {
+                        Some(_) => stats.hits += 1,
+                        None => stats.misses += 1,
+                    }
+                    prop_assert_eq!(cache.get(key).copied(), expected);
+                }
+                1 => prop_assert_eq!(cache.peek(key).copied(), expected),
+                2 => {
+                    if expected.is_none() {
+                        model.push((key, value));
+                    }
+                    cache.insert(key, value);
+                }
+                _ => {
+                    let mut computed = 0;
+                    let got = *cache.get_or_insert_with(key, || {
+                        computed += 1;
+                        value
+                    });
+                    match expected {
+                        Some(v) => {
+                            stats.hits += 1;
+                            prop_assert_eq!(got, v);
+                            prop_assert_eq!(computed, 0);
+                        }
+                        None => {
+                            stats.misses += 1;
+                            model.push((key, value));
+                            prop_assert_eq!(got, value);
+                            prop_assert_eq!(computed, 1);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(cache.entries(), &model[..]);
+            prop_assert_eq!(cache.stats(), stats);
+            prop_assert_eq!(cache.len(), model.len());
         }
     }
 }

@@ -129,29 +129,18 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("par_map workers never panic directly"))
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     });
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let mut panic: Option<(usize, Caught)> = None;
-    for (i, outcome) in parts.into_iter().flatten() {
-        match outcome {
-            Ok(r) => slots[i] = Some(r),
-            Err(payload) => {
-                if panic.as_ref().map(|(pi, _)| i < *pi).unwrap_or(true) {
-                    panic = Some((i, payload));
-                }
-            }
-        }
-    }
-    if let Some((_, payload)) = panic {
-        resume_unwind(payload);
-    }
-    slots
+    // Every index is claimed exactly once, so sorting the claimed
+    // (index, outcome) pairs by index restores item order.
+    let mut claimed: Vec<(usize, Result<R, Caught>)> = parts.into_iter().flatten().collect();
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    // The first failure met in index order is the smallest-index one.
+    claimed
         .into_iter()
-        .map(|slot| slot.expect("every index claimed exactly once"))
+        .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 

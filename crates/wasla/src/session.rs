@@ -19,10 +19,11 @@
 //! deterministic [`par`] pool: distinct calibrations are prewarmed
 //! serially first (so each calibration's grid map runs outside the
 //! batch fan-out; the fitter's and multistart's maps still nest inside
-//! it), then requests run concurrently against
-//! worker-local snapshots of the session caches, and newly computed
-//! stage outputs merge back in request order — so batch results are
-//! bit-identical at any `WASLA_THREADS` setting.
+//! it), then requests run concurrently, each borrowing the session
+//! read-only and writing what it computes into its own delta cache.
+//! The deltas merge back in request order — so batch results are
+//! bit-identical at any `WASLA_THREADS` setting, and a tick costs the
+//! same however many fits the session has accumulated.
 
 use crate::error::WaslaError;
 use crate::persist;
@@ -101,21 +102,29 @@ impl AdvisorSession {
         AdvisorSession { calibrations, fits }
     }
 
+    /// The session as a request with no shared layer sees it: every
+    /// lookup and insert goes straight to this session's caches.
+    fn own(&mut self) -> Layered<'_> {
+        Layered {
+            shared: None,
+            delta: self,
+        }
+    }
+
     /// The calibration table for one target's member device,
-    /// computing it on a cache miss.
-    fn member_table(
+    /// computing and caching it on a miss.
+    fn calibration(
         &mut self,
         config: &TargetConfig,
         grid: &CalibrationGrid,
         seed: u64,
-    ) -> Result<TableModel, WaslaError> {
+    ) -> Result<&TableModel, WaslaError> {
         let spec = TargetCostModel::member_spec(config)?;
         Ok(self
             .calibrations
             .get_or_insert_with(calibration_key(spec, grid, seed), || {
                 calibrate_device(spec, grid, seed)
-            })
-            .clone())
+            }))
     }
 
     /// Target cost models for a scenario's targets, assembling each
@@ -126,13 +135,7 @@ impl AdvisorSession {
         grid: &CalibrationGrid,
         seed: u64,
     ) -> Result<Vec<TargetCostModel>, WaslaError> {
-        targets
-            .iter()
-            .map(|config| {
-                let member = self.member_table(config, grid, seed)?;
-                TargetCostModel::with_member(config, member).map_err(WaslaError::from)
-            })
-            .collect()
+        self.own().models_for(targets, grid, seed)
     }
 
     /// Fitted workload descriptions for a trace, reusing the cache
@@ -149,7 +152,7 @@ impl AdvisorSession {
         config: &FitConfig,
         objective: ObjectiveKind,
     ) -> Result<WorkloadSet, WaslaError> {
-        let (fitted, _salvage) = self.fit_ingest(
+        let (fitted, _salvage) = self.own().fit_ingest(
             trace.records(),
             trace.content_hash(),
             |keep| trace.content_hash_damaged(keep),
@@ -159,6 +162,133 @@ impl AdvisorSession {
             objective,
         )?;
         Ok(fitted)
+    }
+
+    /// Fitted workload descriptions from a captured op-log, folded
+    /// straight from its records without materializing the equivalent
+    /// [`Trace`]. The result is cached under
+    /// [`OpLog::trace_content_hash`] — the same key the trace path
+    /// uses — so a fit computed from a trace run serves a later op-log
+    /// ingest of the same I/O and vice versa.
+    ///
+    /// Under an active trace fault the log's tail is salvaged exactly
+    /// like [`advise`](AdvisorSession::advise) salvages a damaged live
+    /// trace; the returned report is `Some` when records were dropped.
+    pub fn ingest_oplog(
+        &mut self,
+        log: &OpLog,
+        names: &[String],
+        sizes: &[u64],
+        config: &FitConfig,
+        objective: ObjectiveKind,
+    ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
+        self.own().fit_ingest(
+            log.records(),
+            log.trace_content_hash(),
+            |keep| log.trace_content_hash_damaged(keep),
+            names,
+            sizes,
+            config,
+            objective,
+        )
+    }
+
+    /// The advise pipeline fed from a captured op-log instead of a
+    /// fresh trace-collection run: streamed ingest → calibrate →
+    /// solve → regularize. No simulation runs; the log stands in for
+    /// the operational system's observed I/O.
+    pub fn advise_from_oplog(
+        &mut self,
+        log: &OpLog,
+        scenario: &Scenario,
+        config: &AdviseConfig,
+    ) -> Result<OpLogAdvice, WaslaError> {
+        let (fitted, salvage) = self.ingest_oplog(
+            log,
+            &scenario.catalog.names(),
+            &scenario.catalog.sizes(),
+            &config.fit,
+            config.advisor.solver.objective,
+        )?;
+        let mut degraded = Vec::new();
+        let (problem, recommendation) =
+            self.own()
+                .advise_fitted(scenario, &fitted, salvage, config, &mut degraded)?;
+        Ok(OpLogAdvice {
+            fitted,
+            problem,
+            recommendation,
+            degraded,
+        })
+    }
+
+    /// The full staged pipeline — trace → fit → calibrate → solve →
+    /// regularize — with the pure stages served from this session's
+    /// caches.
+    pub fn advise(
+        &mut self,
+        scenario: &Scenario,
+        workloads: &[SqlWorkload],
+        config: &AdviseConfig,
+    ) -> Result<AdviseOutcome, WaslaError> {
+        self.own().advise(scenario, workloads, config)
+    }
+
+    /// Folds one request's delta (a session that started empty and
+    /// holds only what that request computed) into this session: its
+    /// counters add up, and its new entries land first-write-wins in
+    /// merge order.
+    fn absorb(&mut self, delta: AdvisorSession) {
+        self.calibrations.absorb(delta.calibrations);
+        self.fits.absorb(delta.fits);
+    }
+}
+
+/// The session caches one request sees: an optional read-only
+/// `shared` layer (the service's session during a batch fan-out) over
+/// the writable `delta`, which counts the request's hits and misses
+/// and holds what it computed. A hit in `shared` counts on `delta`, so
+/// the delta's counters are exactly what a private copy of the shared
+/// session would have counted. Direct session calls have no shared
+/// layer and write into the session itself.
+struct Layered<'s> {
+    shared: Option<&'s AdvisorSession>,
+    delta: &'s mut AdvisorSession,
+}
+
+impl Layered<'_> {
+    /// The calibration table for one target's member device,
+    /// computing it on a cache miss.
+    fn member_table(
+        &mut self,
+        config: &TargetConfig,
+        grid: &CalibrationGrid,
+        seed: u64,
+    ) -> Result<TableModel, WaslaError> {
+        if let Some(shared) = self.shared {
+            let spec = TargetCostModel::member_spec(config)?;
+            if let Some(table) = shared.calibrations.peek(calibration_key(spec, grid, seed)) {
+                self.delta.calibrations.record_hit();
+                return Ok(table.clone());
+            }
+        }
+        Ok(self.delta.calibration(config, grid, seed)?.clone())
+    }
+
+    /// Target cost models for a scenario's targets.
+    fn models_for(
+        &mut self,
+        targets: &[TargetConfig],
+        grid: &CalibrationGrid,
+        seed: u64,
+    ) -> Result<Vec<TargetCostModel>, WaslaError> {
+        targets
+            .iter()
+            .map(|config| {
+                let member = self.member_table(config, grid, seed)?;
+                TargetCostModel::with_member(config, member).map_err(WaslaError::from)
+            })
+            .collect()
     }
 
     /// The keyed fit behind every ingest path: the cache entry for
@@ -171,11 +301,15 @@ impl AdvisorSession {
         sizes: &[u64],
         config: &FitConfig,
     ) -> Result<WorkloadSet, WaslaError> {
-        if let Some(cached) = self.fits.get(key) {
+        if let Some(cached) = self.shared.and_then(|shared| shared.fits.peek(key)) {
+            self.delta.fits.record_hit();
+            return Ok(cached.clone());
+        }
+        if let Some(cached) = self.delta.fits.get(key) {
             return Ok(cached.clone());
         }
         let fitted = fit_records(records, names, sizes, config)?;
-        self.fits.insert(key, fitted.clone());
+        self.delta.fits.insert(key, fitted.clone());
         Ok(fitted)
     }
 
@@ -222,35 +356,6 @@ impl AdvisorSession {
             dropped: records.len() - keep,
         };
         Ok((fitted, salvage.degraded().then_some(salvage)))
-    }
-
-    /// Fitted workload descriptions from a captured op-log, folded
-    /// straight from its records without materializing the equivalent
-    /// [`Trace`]. The result is cached under
-    /// [`OpLog::trace_content_hash`] — the same key the trace path
-    /// uses — so a fit computed from a trace run serves a later op-log
-    /// ingest of the same I/O and vice versa.
-    ///
-    /// Under an active trace fault the log's tail is salvaged exactly
-    /// like [`advise`](AdvisorSession::advise) salvages a damaged live
-    /// trace; the returned report is `Some` when records were dropped.
-    pub fn ingest_oplog(
-        &mut self,
-        log: &OpLog,
-        names: &[String],
-        sizes: &[u64],
-        config: &FitConfig,
-        objective: ObjectiveKind,
-    ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
-        self.fit_ingest(
-            log.records(),
-            log.trace_content_hash(),
-            |keep| log.trace_content_hash_damaged(keep),
-            names,
-            sizes,
-            config,
-            objective,
-        )
     }
 
     /// The tail both advise paths share once the workloads are fitted:
@@ -304,38 +409,10 @@ impl AdvisorSession {
         Ok((problem, recommendation))
     }
 
-    /// The advise pipeline fed from a captured op-log instead of a
-    /// fresh trace-collection run: streamed ingest → calibrate →
-    /// solve → regularize. No simulation runs; the log stands in for
-    /// the operational system's observed I/O.
-    pub fn advise_from_oplog(
-        &mut self,
-        log: &OpLog,
-        scenario: &Scenario,
-        config: &AdviseConfig,
-    ) -> Result<OpLogAdvice, WaslaError> {
-        let (fitted, salvage) = self.ingest_oplog(
-            log,
-            &scenario.catalog.names(),
-            &scenario.catalog.sizes(),
-            &config.fit,
-            config.advisor.solver.objective,
-        )?;
-        let mut degraded = Vec::new();
-        let (problem, recommendation) =
-            self.advise_fitted(scenario, &fitted, salvage, config, &mut degraded)?;
-        Ok(OpLogAdvice {
-            fitted,
-            problem,
-            recommendation,
-            degraded,
-        })
-    }
-
     /// The full staged pipeline — trace → fit → calibrate → solve →
-    /// regularize — with the pure stages served from this session's
+    /// regularize — with the pure stages served from the layered
     /// caches.
-    pub fn advise(
+    fn advise(
         &mut self,
         scenario: &Scenario,
         workloads: &[SqlWorkload],
@@ -381,22 +458,6 @@ impl AdvisorSession {
             recommendation,
             degraded,
         })
-    }
-
-    /// Folds a worker-local session (started as a clone of this one)
-    /// back into this session: new cache entries land first-write-wins
-    /// in merge order, and the counter deltas relative to `baseline`
-    /// are accumulated.
-    fn absorb(&mut self, local: AdvisorSession, baseline: &SessionStats) {
-        self.calibrations
-            .add_stats(local.calibrations.stats().since(&baseline.calibration));
-        self.fits.add_stats(local.fits.stats().since(&baseline.fit));
-        for (key, table) in local.calibrations.into_entries() {
-            self.calibrations.insert(key, table);
-        }
-        for (key, fitted) in local.fits.into_entries() {
-            self.fits.insert(key, fitted);
-        }
     }
 }
 
@@ -724,9 +785,11 @@ impl Service {
     /// decision log alongside the outcomes.
     ///
     /// Distinct member calibrations are prewarmed serially first (each
-    /// is internally parallel); the fan-out then runs against
-    /// worker-local snapshots of the warm caches, and anything newly
-    /// computed merges back into the shared session in request order.
+    /// is internally parallel). In the fan-out every request borrows
+    /// the warm session read-only and writes what it computes, hits and
+    /// misses included, into its own delta; the deltas merge back into
+    /// the session in request order. No request copies the session, so
+    /// a tick costs O(batch) however many fits the service holds.
     /// Results are bit-identical at any `WASLA_THREADS` setting, and a
     /// warm service returns byte-identical recommendations to a cold
     /// one (only wall-clock timings differ).
@@ -769,15 +832,14 @@ impl Service {
             for target in &request.scenario.targets {
                 let _ =
                     self.session
-                        .member_table(target, &request.config.grid, request.scenario.seed);
+                        .calibration(target, &request.config.grid, request.scenario.seed);
             }
         }
 
         let base_seed = self.base_seed;
         let attempts_budget = policy.max_attempts.max(1);
         let plan = fault::plan();
-        let snapshot = self.session.clone();
-        let baseline = snapshot.stats();
+        let shared = &self.session;
         let indices: Vec<usize> = (0..n).collect();
         type SlotRun = (
             Result<AdviseOutcome, WaslaError>,
@@ -805,7 +867,11 @@ impl Service {
                 };
                 return (Err(err), decision, None);
             }
-            let mut local = snapshot.clone();
+            let mut delta = AdvisorSession::new();
+            let mut layered = Layered {
+                shared: Some(shared),
+                delta: &mut delta,
+            };
             let seed = request
                 .seed
                 .unwrap_or_else(|| par::task_seed(base_seed, i as u64));
@@ -836,7 +902,7 @@ impl Service {
                     request.deadline.and_then(|c| deadline_budget(c, attempt))
                 };
                 config.advisor.solve_budget = config.advisor.solve_budget.max(budget);
-                outcome = Some(local.advise(&request.scenario, &request.workloads, &config));
+                outcome = Some(layered.advise(&request.scenario, &request.workloads, &config));
                 break;
             }
             let outcome = outcome.unwrap_or_else(|| {
@@ -861,14 +927,14 @@ impl Service {
                 Ok(_) => SlotDisposition::Ok,
                 Err(_) => SlotDisposition::Failed,
             };
-            (outcome, decision, Some(local))
+            (outcome, decision, Some(delta))
         });
 
         let mut outcomes = Vec::with_capacity(runs.len());
         let mut decisions = Vec::with_capacity(runs.len());
-        for (outcome, decision, local) in runs {
-            if let Some(local) = local {
-                self.session.absorb(local, &baseline);
+        for (outcome, decision, delta) in runs {
+            if let Some(delta) = delta {
+                self.session.absorb(delta);
             }
             outcomes.push(outcome);
             decisions.push(decision);

@@ -13,12 +13,19 @@
 //! budgets land on the same slots at any thread count, warm or cold,
 //! including through a persist/reopen cycle.
 //!
+//! The merge of per-request cache deltas depends only on request
+//! order: a batch that holds one tenant twice leaves the same counters
+//! and persists the same bytes at any thread count, pinned to a fixed
+//! hash.
+//!
 //! The whole check lives in ONE test function: it mutates the
 //! `WASLA_THREADS` environment variable, which is only safe while no
 //! other test in the same binary runs concurrently.
 
+use wasla::persist;
 use wasla::pipeline::{AdviseConfig, AdviseOutcome, Scenario};
 use wasla::simlib::fault::{self, FaultPlan};
+use wasla::simlib::hash::Fnv64;
 use wasla::stress;
 use wasla::workload::{SqlWorkload, SynthSpec};
 use wasla::{AdviseRequest, BatchPolicy, Service, WaslaError};
@@ -204,4 +211,74 @@ fn batches_are_identical_at_any_thread_count_and_temperature() {
         "persisted path diverged from in-memory"
     );
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The delta merge depends only on request order. Five synth
+    // tenants with tenant 1 repeated at the end: both copies of the
+    // repeat run against the same shared session, so both miss and
+    // compute the same fit, and only the first lands in the cache. A
+    // warm repeat of the batch then hits the shared session on every
+    // lookup, and each hit counts once.
+    let merge_spec = SynthSpec {
+        tenants: 5,
+        ..SynthSpec::default()
+    };
+    let merge_targets = stress::fleet(&merge_spec);
+    let mut merge_requests: Vec<AdviseRequest> = (0..merge_spec.tenants as u64)
+        .map(|i| stress::tenant_request(&merge_spec, &merge_targets, i))
+        .collect();
+    merge_requests.push(merge_requests[1].clone());
+    let merged_at = |threads: usize| {
+        std::env::set_var("WASLA_THREADS", threads.to_string());
+        let dir = std::env::temp_dir().join(format!(
+            "wasla-batch-merge-{}-t{threads}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut service, _) = Service::open(0xBA7C4, &dir).expect("open merge cache dir");
+        service.advise_batch_with(&merge_requests, &BatchPolicy::default());
+        let cold = service.session().stats();
+        service.advise_batch_with(&merge_requests, &BatchPolicy::default());
+        service.persist().expect("persist merged session");
+        std::env::remove_var("WASLA_THREADS");
+        let mut hash = Fnv64::new();
+        for file in [persist::CALIBRATIONS_FILE, persist::FITS_FILE] {
+            hash.write_bytes(&std::fs::read(dir.join(file)).expect("read persisted cache"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            [cold, service.session().stats()],
+            service.session().fits_cached(),
+            hash.finish(),
+        )
+    };
+    let (stats_1, fits_1, persisted_1) = merged_at(1);
+    let (stats_8, fits_8, persisted_8) = merged_at(8);
+    assert_eq!(stats_1, stats_8, "merged counters depend on WASLA_THREADS");
+    assert_eq!(fits_1, fits_8, "merged fit count depends on WASLA_THREADS");
+    assert_eq!(
+        persisted_1, persisted_8,
+        "persisted caches depend on WASLA_THREADS"
+    );
+    assert_eq!(
+        fits_1, 5,
+        "the repeated tenant leaves exactly one fit entry"
+    );
+    let counts = stats_1.map(|s| {
+        [
+            s.calibration.misses,
+            s.calibration.hits,
+            s.fit.misses,
+            s.fit.hits,
+        ]
+    });
+    assert_eq!(
+        counts,
+        [[1, 95, 6, 0], [1, 191, 6, 6]],
+        "cold then warm [calibration misses, hits, fit misses, hits]: \
+         both copies of the repeated tenant miss, and every warm lookup hits"
+    );
+    assert_eq!(
+        persisted_1, 0x6c00_76f5_9c43_9659,
+        "persisted cache bytes moved: {persisted_1:#018x}"
+    );
 }
